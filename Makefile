@@ -1,14 +1,15 @@
 # Tier-1 gate: everything `make ci` runs must stay green on every change.
 # It is what CI and reviewers run; `go build ./... && go test ./...` is the
-# historical minimum, plus vet and a short race pass over the packages with
+# historical minimum, plus vet, a short race pass over the packages with
 # real host concurrency (the bench engine's worker pool, the simulated
-# machine it fans cells over, and the sgxd job queue/store).
+# machine it fans cells over, and the sgxd job queue/store), and the
+# perfbench module, which root `./...` never builds.
 
 GO ?= go
 
-.PHONY: ci vet build test race test-race-full chaos cluster-smoke membership-smoke stress-smoke bench bench-json golden drift experiments load
+.PHONY: ci vet build test race perfbench test-race-full chaos cluster-smoke membership-smoke stress-smoke bench bench-json golden drift experiments load
 
-ci: vet build test race
+ci: vet build test race perfbench
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +23,12 @@ test:
 # Short race pass: the packages where goroutines actually meet shared state.
 race:
 	$(GO) test -race -short ./internal/bench/ ./internal/machine/ ./internal/mem/ ./internal/harden/ ./internal/core/ ./internal/serve/... ./internal/cluster/
+
+# The benchmark program is its own module (replace sgxbounds => ../), so a
+# change to the packages it drives (internal/bench's engine above all) can
+# break it while everything above stays green.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full race sweep (slow; run before touching machine/bench concurrency).
 test-race-full:

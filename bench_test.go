@@ -2,9 +2,9 @@
 // paper's evaluation, plus the ablation benchmarks DESIGN.md calls out.
 //
 // Each figure benchmark executes a scaled-down instance of its experiment
-// per iteration and reports the headline ratios as custom metrics
-// (x-overhead numbers match the corresponding cmd/ tool at full scale; run
-// `go run ./cmd/sgxbench -experiment all` to regenerate the full tables).
+// per iteration and reports the headline ratios as custom metrics. The
+// full-scale tables come from `go run ./cmd/sgxbench -experiment <name>`
+// (fig1, fig7 ... fig13, table4), or `-experiment all` for every one.
 
 package sgxbounds
 

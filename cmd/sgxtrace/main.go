@@ -1,5 +1,5 @@
-// Command sgxtrace inspects run profiles captured by sgxbench/appbench with
-// -trace or -metrics (the .profile.json export).
+// Command sgxtrace inspects run profiles captured by sgxbench with -trace or
+// -metrics (the .profile.json export).
 //
 // summarize prints, per cell: the terminal run counters, the EPC fault
 // breakdown, the hottest faulting pages, a fault timeline over simulated

@@ -87,28 +87,51 @@ func Run(spec Spec) Result {
 	if err != nil {
 		panic(err)
 	}
-	env := harden.NewEnv(spec.Config)
-	pl, err := NewPolicy(spec.Policy, env, spec.CoreOpts)
+	res := Result{Spec: spec}
+	m := simulate(spec.Config, spec.Policy, spec.CoreOpts, func(ctx *harden.Ctx) {
+		res.Digest = w.Run(ctx, spec.Threads, spec.Size)
+	})
+	res.Outcome, res.Cycles, res.Totals = m.outcome, m.cycles, m.totals
+	res.PeakReserved, res.PageFaults = m.peakReserved, m.pageFaults
+	if p, ok := m.policy.(*mpx.Policy); ok {
+		res.BoundsTables = p.BoundsTables()
+	}
+	return res
+}
+
+// machineRun is the record of one finished simulation on a fresh machine.
+type machineRun struct {
+	policy       harden.Policy
+	outcome      harden.Outcome
+	cycles       uint64 // the main thread's critical path
+	totals       perf.Counters
+	peakReserved uint64
+	pageFaults   uint64
+}
+
+// simulate is the fresh-machine skeleton every simulated cell shares: it
+// builds a machine from cfg, hardens it with the named policy, runs body on
+// the main thread between the "run" phase events, and publishes the
+// terminal counters to cfg.Tel, with the main thread's critical path as
+// run.cycles.
+func simulate(cfg machine.Config, policy string, opts core.Options, body func(*harden.Ctx)) machineRun {
+	env := harden.NewEnv(cfg)
+	pl, err := NewPolicy(policy, env, opts)
 	if err != nil {
 		panic(err)
 	}
 	ctx := harden.NewCtx(pl, env.M.NewThread())
-	res := Result{Spec: spec}
-	tel := spec.Config.Tel
+	tel := cfg.Tel
 	tel.Tracer().Emit(telemetry.Event{Kind: telemetry.EvPhaseBegin, Name: "run"})
-	res.Outcome = env.Capture(func() {
-		res.Digest = w.Run(ctx, spec.Threads, spec.Size)
-	})
-	res.Cycles = ctx.T.C.Cycles
-	res.Totals = env.M.Finish(ctx.T)
-	res.PeakReserved = env.M.AS.PeakReserved()
-	res.PageFaults = env.M.PageFaults()
-	if m, ok := pl.(*mpx.Policy); ok {
-		res.BoundsTables = m.BoundsTables()
-	}
-	tel.Tracer().Emit(telemetry.Event{Ts: res.Cycles, Kind: telemetry.EvPhaseEnd, Name: "run"})
-	publishRun(tel, env, &res.Totals, res.Cycles, res.PeakReserved)
-	return res
+	m := machineRun{policy: pl}
+	m.outcome = env.Capture(func() { body(ctx) })
+	m.cycles = ctx.T.C.Cycles
+	m.totals = env.M.Finish(ctx.T)
+	m.peakReserved = env.M.AS.PeakReserved()
+	m.pageFaults = env.M.PageFaults()
+	tel.Tracer().Emit(telemetry.Event{Ts: m.cycles, Kind: telemetry.EvPhaseEnd, Name: "run"})
+	publishRun(tel, env, &m.totals, m.cycles, m.peakReserved)
+	return m
 }
 
 // publishRun snapshots a finished cell's terminal counters into its metrics

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sgxbounds/internal/telemetry"
 	"sgxbounds/internal/workloads"
 )
 
@@ -45,29 +46,25 @@ func TestEngineCancelMidCell(t *testing.T) {
 		t.Errorf("canceled cell produced a cache hit (hits=%d runs=%d)", hits, runs)
 	}
 
-	// The canceled cell must not have been cached: a fresh engine (no
-	// cancellation) and this engine must disagree — this engine re-runs it.
-	if _, ok := e.cells[mustKey(t, Spec{Workload: "kmeans", Policy: "sgxbounds", Size: workloads.XL})]; ok {
-		t.Error("canceled result was cached")
+	// The canceled cell must not have been cached: asking again is no hit
+	// (and, the engine being cancelled, no run either).
+	if r := e.Run(Spec{Workload: "kmeans", Policy: "sgxbounds", Size: workloads.XL}); !r.Outcome.Canceled {
+		t.Errorf("second request outcome = %v, want canceled", r.Outcome)
 	}
-}
-
-func mustKey(t *testing.T, s Spec) specKey {
-	t.Helper()
-	k, ok := canonicalKey(s)
-	if !ok {
-		t.Fatal("spec unexpectedly uncacheable")
+	if hits, runs := e.CacheStats(); hits != 0 || runs != 1 {
+		t.Errorf("after re-request: hits=%d runs=%d, want 0/1 (canceled result was cached?)", hits, runs)
 	}
-	return k
 }
 
 // TestEngineCancelSkipsQueuedCells: with the context already cancelled,
-// every entry point returns a Canceled result without simulating anything.
+// every entry point returns a Canceled result without simulating anything,
+// attaching a telemetry profile, or leaving cells on the progress total.
 func TestEngineCancelSkipsQueuedCells(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e := NewEngine(2)
 	e.BindContext(ctx)
+	e.Telemetry = telemetry.NewCollector(telemetry.Options{Metrics: true})
 
 	start := time.Now()
 	r := e.Run(Spec{Workload: "kmeans", Policy: "sgxbounds", Size: workloads.XL})
@@ -89,11 +86,19 @@ func TestEngineCancelSkipsQueuedCells(t *testing.T) {
 	if ar := e.MeasureApp("memcached", "sgxbounds", 2000); !ar.Outcome.Canceled {
 		t.Errorf("MeasureApp outcome = %v, want canceled", ar.Outcome)
 	}
+	var table bytes.Buffer
+	e.Table4(&table)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("pre-cancelled entry points took %v, want near-instant", elapsed)
 	}
 	if _, runs := e.CacheStats(); runs != 0 {
 		t.Errorf("pre-cancelled engine executed %d cells", runs)
+	}
+	if n := e.Telemetry.Len(); n != 0 {
+		t.Errorf("pre-cancelled engine attached %d telemetry profiles", n)
+	}
+	if e.total != 0 {
+		t.Errorf("progress total = %d, want 0 (skipped cells must be withdrawn)", e.total)
 	}
 }
 

@@ -17,21 +17,19 @@ import (
 	"sgxbounds/internal/workloads"
 )
 
-// canceledOutcome is the outcome of a cell the engine never ran because its
-// context was already cancelled.
-func canceledOutcome() harden.Outcome { return harden.Outcome{Canceled: true} }
-
-// Engine schedules experiment cells. Every cell — one Run(Spec), one
-// RunSpeedtest, one MeasureApp — builds a private machine.Machine and shares
-// no state with any other cell, so the engine fans independent cells across
-// a bounded pool of host goroutines and reassembles the results in the
-// deterministic order the caller asked for. Formatter output is therefore
-// byte-identical for every worker count, including 1.
+// Engine schedules experiment cells. Every cell — a Run spec, a Figure 1
+// speedtest, a Figure 13 case study, a Table 4 RIPE sweep — builds private
+// machines and shares no state with any other cell, so the engine fans
+// independent cells across a bounded pool of host goroutines and
+// reassembles the results in the deterministic order the caller asked for.
+// Formatter output is therefore byte-identical for every worker count,
+// including 1.
 //
 // The engine also memoises cells: the paper's figures overlap heavily
 // (Figure 8's L-size column is Figure 7's grid, Figure 10's baselines are
 // Figure 7's sgx row), so within one `sgxbench -experiment all` invocation a
-// (workload, policy, size, threads, config) cell runs at most once.
+// (workload, policy, size, threads, config) cell runs at most once. Every
+// entry point reaches cells through one path, runCells, over one memo map.
 type Engine struct {
 	workers int
 
@@ -62,9 +60,8 @@ type Engine struct {
 	CellHook func(label string)
 
 	mu           sync.Mutex
-	cells        map[specKey]Result
-	apps         map[appKey]AppResult
-	speed        map[speedKey]Fig1Row
+	printMu      sync.Mutex  // serialises Progress writes; see noteDone
+	memo         map[any]any // cell key -> result; see cell.key
 	done, total  int
 	hits         int
 	policyCycles map[string]uint64
@@ -80,9 +77,7 @@ func NewEngine(workers int) *Engine {
 	}
 	return &Engine{
 		workers:      workers,
-		cells:        make(map[specKey]Result),
-		apps:         make(map[appKey]AppResult),
-		speed:        make(map[speedKey]Fig1Row),
+		memo:         make(map[any]any),
 		policyCycles: make(map[string]uint64),
 	}
 }
@@ -119,6 +114,113 @@ func (e *Engine) CacheStats() (hits, runs int) {
 	return e.hits, e.done
 }
 
+// cell is one unit of engine work of result type T.
+type cell[T any] struct {
+	// key is the cell's memo identity, a comparable struct (specKey,
+	// speedKey, appKey, ripeKey); nil marks an uncacheable cell, which
+	// always runs and is never stored.
+	key any
+	// label names the cell to the CellHook and keys its telemetry profile.
+	label string
+	// profiled cells get a telemetry profile while the engine collects.
+	profiled bool
+	// policy is the progress line's cycle bucket for the cell.
+	policy string
+	// skipped is the result of a cell the engine never ran (cancelled).
+	skipped T
+	// run simulates the cell against its profile (nil when unprofiled or
+	// telemetry is off) and returns the result and the simulated cycles
+	// the progress line adds to the cell's policy.
+	run func(tel *telemetry.Profile) (T, uint64)
+}
+
+// runCells is the engine's one cell path; results[i] receives cells[i]'s
+// result. Planning counts memo hits and duplicates within the batch as
+// cache hits and announces the remaining cells to the progress total. Each
+// remaining cell then runs on the worker pool: cancel check, profile,
+// CellHook, simulation, memo store, progress; a cell that is skipped or
+// panics is taken back off the total instead. Duplicates are filled from
+// the memo afterwards; one whose first occurrence did not land there
+// (cancelled, or its hook panicked) is reported as skipped. A panicking
+// cell does not stop the others: the first panic in cell order is
+// re-raised once every result is in place.
+func runCells[T any](e *Engine, cells []cell[T], results []T) {
+	var run, dups []int
+	first := make(map[any]bool, len(cells))
+	e.mu.Lock()
+	for i, c := range cells {
+		if c.key == nil {
+			run = append(run, i)
+		} else if v, ok := e.memo[c.key]; ok {
+			results[i] = v.(T)
+			e.hits++
+		} else if first[c.key] {
+			dups = append(dups, i)
+			e.hits++
+		} else {
+			first[c.key] = true
+			run = append(run, i)
+		}
+	}
+	e.total += len(run)
+	e.mu.Unlock()
+
+	p := e.runJobs(len(run), func(j int) {
+		i := run[j]
+		c := cells[i]
+		counted := false
+		defer func() {
+			if !counted { // skipped or panicked: never marked done
+				e.mu.Lock()
+				e.total--
+				e.mu.Unlock()
+			}
+		}()
+		if e.Canceled() {
+			results[i] = c.skipped
+			return
+		}
+		var tel *telemetry.Profile
+		if c.profiled {
+			tel = e.Telemetry.Attach(c.label)
+		}
+		if e.CellHook != nil {
+			e.CellHook(c.label)
+		}
+		v, cycles := c.run(tel)
+		results[i] = v
+		e.mu.Lock()
+		if c.key != nil && !e.Canceled() {
+			// Only a cell that ran to completion under a live engine is
+			// memoised; a cancelled one may hold partial counters.
+			e.memo[c.key] = v
+		}
+		e.mu.Unlock()
+		counted = true
+		e.noteDone(c.policy, cycles)
+	})
+
+	e.mu.Lock()
+	for _, i := range dups {
+		if v, ok := e.memo[cells[i].key]; ok {
+			results[i] = v.(T)
+		} else {
+			results[i] = cells[i].skipped
+		}
+	}
+	e.mu.Unlock()
+	if p != nil {
+		panic(p)
+	}
+}
+
+// runCell runs a batch of one cell.
+func runCell[T any](e *Engine, c cell[T]) T {
+	results := make([]T, 1)
+	runCells(e, []cell[T]{c}, results)
+	return results[0]
+}
+
 // specKey is the canonical identity of one Run cell: the Spec after default
 // resolution, with the policy options flattened to their comparable fields.
 // Spec itself cannot be a map key because core.Options embeds function-typed
@@ -137,16 +239,6 @@ type optKey struct {
 	boundless, safeElision, hoisting bool
 	extraMetaWords                   int
 	boundlessCapBytes                uint32
-}
-
-type appKey struct {
-	app, policy string
-	requests    int
-}
-
-type speedKey struct {
-	policy string
-	items  uint32
 }
 
 func hooksActive(h core.Hooks) bool {
@@ -235,150 +327,58 @@ func specLabel(k specKey) string {
 	return label
 }
 
-// attach resolves the profile for an executing cell (nil when telemetry is
-// off).
-func (e *Engine) attach(label string) *telemetry.Profile {
-	if e.Telemetry == nil {
-		return nil
+// specCell is the cell of one Run spec. An uncacheable spec keeps the
+// caller's telemetry profile and is labelled "workload/policy".
+func (e *Engine) specCell(spec Spec) cell[Result] {
+	key, cacheable := canonicalKey(spec)
+	c := cell[Result]{
+		label:   spec.Workload + "/" + spec.Policy,
+		policy:  spec.Policy,
+		skipped: Result{Spec: spec, Outcome: harden.Outcome{Canceled: true}},
 	}
-	return e.Telemetry.Attach(label)
-}
-
-// cellStart announces an executing cell to the CellHook, if any.
-func (e *Engine) cellStart(label string) {
-	if e.CellHook != nil {
-		e.CellHook(label)
+	if cacheable {
+		c.key, c.label, c.profiled = key, specLabel(key), true
 	}
+	c.run = func(tel *telemetry.Profile) (Result, uint64) {
+		s := spec
+		if cacheable {
+			s.Config.Tel = tel
+		}
+		s.Config.Cancel = e.cancel
+		r := Run(s)
+		return r, r.Totals.Cycles
+	}
+	return c
 }
 
 // Run executes one cell through the engine's cache.
-func (e *Engine) Run(spec Spec) Result {
-	key, cacheable := canonicalKey(spec)
-	if cacheable {
-		e.mu.Lock()
-		if r, ok := e.cells[key]; ok {
-			e.hits++
-			e.mu.Unlock()
-			return r
-		}
-		e.mu.Unlock()
-		spec.Config.Tel = e.attach(specLabel(key))
-	}
-	if e.Canceled() {
-		return Result{Spec: spec, Outcome: canceledOutcome()}
-	}
-	if cacheable {
-		e.cellStart(specLabel(key))
-	} else {
-		e.cellStart(spec.Workload + "/" + spec.Policy)
-	}
-	spec.Config.Cancel = e.cancel
-	e.addTotal(1)
-	r := Run(spec)
-	if cacheable && !r.Outcome.Canceled {
-		e.mu.Lock()
-		e.cells[key] = r
-		e.mu.Unlock()
-	}
-	e.noteDone(spec.Policy, r.Totals.Cycles)
-	return r
-}
+func (e *Engine) Run(spec Spec) Result { return runCell(e, e.specCell(spec)) }
 
 // RunAll executes the specs (deduplicated against each other and the cache)
 // on the worker pool and returns their results in input order.
 func (e *Engine) RunAll(specs []Spec) []Result {
-	results := make([]Result, len(specs))
-	keys := make([]specKey, len(specs))
-	cacheable := make([]bool, len(specs))
-
-	// Collect the cells that actually need to run: the first spec for each
-	// uncached key, plus every uncacheable spec.
-	var jobs []int
-	owner := make(map[specKey]int, len(specs))
-	e.mu.Lock()
+	cells := make([]cell[Result], len(specs))
 	for i, s := range specs {
-		keys[i], cacheable[i] = canonicalKey(s)
-		if !cacheable[i] {
-			jobs = append(jobs, i)
-			continue
-		}
-		if r, ok := e.cells[keys[i]]; ok {
-			results[i] = r
-			e.hits++
-			continue
-		}
-		if _, ok := owner[keys[i]]; !ok {
-			owner[keys[i]] = i
-			jobs = append(jobs, i)
-		} else {
-			e.hits++
-		}
+		cells[i] = e.specCell(s)
 	}
-	e.total += len(jobs)
-	e.mu.Unlock()
-
-	e.runJobs(len(jobs), func(j int) {
-		i := jobs[j]
-		s := specs[i]
-		if cacheable[i] {
-			s.Config.Tel = e.attach(specLabel(keys[i]))
-		}
-		if e.Canceled() {
-			results[i] = Result{Spec: s, Outcome: canceledOutcome()}
-			return
-		}
-		if cacheable[i] {
-			e.cellStart(specLabel(keys[i]))
-		} else {
-			e.cellStart(s.Workload + "/" + s.Policy)
-		}
-		s.Config.Cancel = e.cancel
-		r := Run(s)
-		results[i] = r
-		if cacheable[i] && !r.Outcome.Canceled {
-			e.mu.Lock()
-			e.cells[keys[i]] = r
-			e.mu.Unlock()
-		}
-		e.noteDone(specs[i].Policy, r.Totals.Cycles)
-	})
-
-	// Fill the duplicates from the now-populated cache. A duplicate whose
-	// owner cell was cancelled has no cache entry; it is cancelled too.
-	e.mu.Lock()
-	for i := range specs {
-		if cacheable[i] && results[i].Spec.Workload == "" {
-			if r, ok := e.cells[keys[i]]; ok {
-				results[i] = r
-			} else {
-				results[i] = Result{Spec: specs[i], Outcome: canceledOutcome()}
-			}
-		}
-	}
-	e.mu.Unlock()
+	results := make([]Result, len(specs))
+	runCells(e, cells, results)
 	return results
 }
 
 // runJobs executes n independent jobs with at most e.workers running
 // concurrently. A panicking job does not abort the others; the first panic
-// (in job order, for determinism) is re-raised after all jobs finish.
-// Cancellation is the job functions' concern: every engine entry point
-// checks e.Canceled() and returns a Canceled result without simulating.
-func (e *Engine) runJobs(n int, job func(i int)) {
-	if n == 0 {
-		return
-	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
+// (in job order, for determinism) is returned once all jobs finish.
+func (e *Engine) runJobs(n int, job func(i int)) (panicked any) {
+	w := min(e.workers, n)
 	panics := make([]any, n)
+	guarded := func(i int) {
+		defer func() { panics[i] = recover() }()
+		job(i)
+	}
 	if w <= 1 {
 		for i := 0; i < n; i++ {
-			func(i int) {
-				defer func() { panics[i] = recover() }()
-				job(i)
-			}(i)
+			guarded(i)
 		}
 	} else {
 		idx := make(chan int)
@@ -388,10 +388,7 @@ func (e *Engine) runJobs(n int, job func(i int)) {
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					func(i int) {
-						defer func() { panics[i] = recover() }()
-						job(i)
-					}(i)
+					guarded(i)
 				}
 			}()
 		}
@@ -403,16 +400,10 @@ func (e *Engine) runJobs(n int, job func(i int)) {
 	}
 	for _, p := range panics {
 		if p != nil {
-			panic(p)
+			return p
 		}
 	}
-}
-
-// addTotal registers upcoming cells with the progress reporter.
-func (e *Engine) addTotal(n int) {
-	e.mu.Lock()
-	e.total += n
-	e.mu.Unlock()
+	return nil
 }
 
 // noteDone records one finished cell and emits a throttled progress line.
@@ -435,8 +426,14 @@ func (e *Engine) noteDone(policy string, cycles uint64) {
 	e.lastNote = now
 	line := e.progressLine(now)
 	w := e.Progress
+	// Cells finish on several workers and Progress need not be safe for
+	// concurrent use. Taking printMu before releasing mu writes the lines
+	// one at a time, in the order they were rendered, without holding mu
+	// across the write.
+	e.printMu.Lock()
 	e.mu.Unlock()
 	fmt.Fprintln(w, line)
+	e.printMu.Unlock()
 }
 
 // progressLine renders the current progress state. Called with e.mu held.

@@ -14,13 +14,6 @@ import (
 type Grid map[string]map[string]Result
 
 // RunGrid executes every (workload, policy) combination with shared
-// parameters on a fresh engine; see Engine.RunGrid.
-func RunGrid(w io.Writer, ws []workloads.Workload, policies []string,
-	size workloads.Size, threads int, cfg machine.Config) Grid {
-	return NewEngine(0).RunGrid(w, ws, policies, size, threads, cfg)
-}
-
-// RunGrid executes every (workload, policy) combination with shared
 // parameters, printing one progress line per workload to w (pass io.Discard
 // to silence). Cells are fanned across the engine's worker pool; the grid
 // and the lines printed to w are identical for every worker count.
@@ -62,13 +55,6 @@ func memOverheadOrNaN(row map[string]Result, pol, base string) float64 {
 	return MemOverhead(r, b)
 }
 
-// SuiteComparison runs the Figure 7 / Figure 11 experiment shape on a fresh
-// engine; see Engine.SuiteComparison.
-func SuiteComparison(w io.Writer, title string, ws []workloads.Workload,
-	size workloads.Size, threads int, cfg machine.Config) Grid {
-	return NewEngine(0).SuiteComparison(w, title, ws, size, threads, cfg)
-}
-
 // SuiteComparison runs the Figure 7 / Figure 11 experiment shape: every
 // workload of a set under the four mechanisms, reporting performance and
 // memory overheads over the native SGX baseline plus the geometric mean.
@@ -97,26 +83,17 @@ func (e *Engine) SuiteComparison(w io.Writer, title string, ws []workloads.Workl
 	return grid
 }
 
-// Fig7 reproduces Figure 7 on a fresh engine; see Engine.Fig7.
-func Fig7(w io.Writer, threads int) Grid { return NewEngine(0).Fig7(w, threads) }
-
 // Fig7 reproduces Figure 7: Phoenix and PARSEC overheads with 8 threads.
 func (e *Engine) Fig7(w io.Writer, threads int) Grid {
 	return e.SuiteComparison(w, "Figure 7 (Phoenix+PARSEC)", workloads.PhoenixParsec(),
 		workloads.L, threads, machine.DefaultConfig())
 }
 
-// Fig11 reproduces Figure 11 on a fresh engine; see Engine.Fig11.
-func Fig11(w io.Writer) Grid { return NewEngine(0).Fig11(w) }
-
 // Fig11 reproduces Figure 11: SPEC CPU2006 inside the enclave.
 func (e *Engine) Fig11(w io.Writer) Grid {
 	return e.SuiteComparison(w, "Figure 11 (SPEC, inside SGX)", workloads.Suite("spec"),
 		workloads.L, 1, machine.DefaultConfig())
 }
-
-// Fig12 reproduces Figure 12 on a fresh engine; see Engine.Fig12.
-func Fig12(w io.Writer) Grid { return NewEngine(0).Fig12(w) }
 
 // Fig12 reproduces Figure 12: SPEC CPU2006 outside the enclave (normal,
 // unconstrained environment).
@@ -130,9 +107,6 @@ var Fig8Workloads = []string{"kmeans", "matrixmul", "wordcount", "linear_regress
 
 // Fig8Result carries the sweep grid indexed [workload][size][policy].
 type Fig8Result map[string]map[workloads.Size]map[string]Result
-
-// Fig8 reproduces Figure 8 and Table 3 on a fresh engine; see Engine.Fig8.
-func Fig8(w io.Writer, threads int) Fig8Result { return NewEngine(0).Fig8(w, threads) }
 
 // Fig8 reproduces Figure 8 and Table 3: overheads over SGXBounds with
 // growing working sets, plus the diagnostic columns (working set, LLC
@@ -200,9 +174,6 @@ func (e *Engine) Fig8(w io.Writer, threads int) Fig8Result {
 	return out
 }
 
-// Fig9 reproduces Figure 9 on a fresh engine; see Engine.Fig9.
-func Fig9(w io.Writer) map[int]Grid { return NewEngine(0).Fig9(w) }
-
 // Fig9 reproduces Figure 9: AddressSanitizer and SGXBounds overheads with
 // one and four threads.
 func (e *Engine) Fig9(w io.Writer) map[int]Grid {
@@ -237,11 +208,6 @@ var OptVariants = []struct {
 	{"safe", core.Options{SafeElision: true}},
 	{"hoist", core.Options{Hoisting: true}},
 	{"all", core.AllOptimizations()},
-}
-
-// Fig10 reproduces Figure 10 on a fresh engine; see Engine.Fig10.
-func Fig10(w io.Writer, threads int) map[string]map[string]Result {
-	return NewEngine(0).Fig10(w, threads)
 }
 
 // Fig10 reproduces Figure 10: SGXBounds overhead over native SGX under each

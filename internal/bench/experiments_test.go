@@ -21,7 +21,7 @@ func TestSuiteComparisonSmoke(t *testing.T) {
 		}
 		ws = append(ws, w)
 	}
-	grid := SuiteComparison(&buf, "smoke", ws, workloads.XS, 1, machine.DefaultConfig())
+	grid := NewEngine(0).SuiteComparison(&buf, "smoke", ws, workloads.XS, 1, machine.DefaultConfig())
 	out := buf.String()
 	for _, want := range []string{"smoke: performance overhead", "histogram", "swaptions", "gmean"} {
 		if !strings.Contains(out, want) {
@@ -53,7 +53,7 @@ func TestSuiteComparisonSmoke(t *testing.T) {
 // counts in the rendered output.
 func TestTable4Smoke(t *testing.T) {
 	var buf bytes.Buffer
-	out := Table4(&buf)
+	out := NewEngine(0).Table4(&buf)
 	if got := out["mpx"].Prevented; got != 2 {
 		t.Errorf("mpx prevented = %d", got)
 	}

@@ -46,53 +46,39 @@ func runSpeedtest(policy string, items uint32, tel *telemetry.Profile, cancel *a
 	cfg.MemoryBudget = Fig1Budget
 	cfg.Tel = tel
 	cfg.Cancel = cancel
-	env := harden.NewEnv(cfg)
-	pl, err := NewPolicy(policy, env, core.AllOptimizations())
-	if err != nil {
-		panic(err)
+	m := simulate(cfg, policy, core.AllOptimizations(), func(ctx *harden.Ctx) {
+		minidb.Speedtest(ctx, items)
+	})
+	return Fig1Row{Items: items, Policy: policy, Outcome: m.outcome, Cycles: m.cycles,
+		PeakReserved: m.peakReserved, PageFaults: m.pageFaults, Totals: m.totals}
+}
+
+// speedKey is the memo identity of one speedtest cell.
+type speedKey struct {
+	policy string
+	items  uint32
+}
+
+// speedCell is the cell of one speedtest, labelled "fig1:policy/items".
+func (e *Engine) speedCell(policy string, items uint32) cell[Fig1Row] {
+	return cell[Fig1Row]{
+		key:      speedKey{policy: policy, items: items},
+		label:    fmt.Sprintf("fig1:%s/%d", policy, items),
+		profiled: true,
+		policy:   policy,
+		skipped:  Fig1Row{Items: items, Policy: policy, Outcome: harden.Outcome{Canceled: true}},
+		run: func(tel *telemetry.Profile) (Fig1Row, uint64) {
+			r := runSpeedtest(policy, items, tel, e.cancel)
+			return r, r.Totals.Cycles
+		},
 	}
-	ctx := harden.NewCtx(pl, env.M.NewThread())
-	row := Fig1Row{Items: items, Policy: policy}
-	tel.Tracer().Emit(telemetry.Event{Kind: telemetry.EvPhaseBegin, Name: "run"})
-	row.Outcome = env.Capture(func() { minidb.Speedtest(ctx, items) })
-	row.Cycles = ctx.T.C.Cycles
-	row.Totals = env.M.Finish(ctx.T)
-	row.PeakReserved = env.M.AS.PeakReserved()
-	row.PageFaults = env.M.PageFaults()
-	tel.Tracer().Emit(telemetry.Event{Ts: row.Cycles, Kind: telemetry.EvPhaseEnd, Name: "run"})
-	publishRun(tel, env, &row.Totals, row.Cycles, row.PeakReserved)
-	return row
 }
 
 // RunSpeedtest executes (or recalls) one speedtest cell through the
 // engine's cache.
 func (e *Engine) RunSpeedtest(policy string, items uint32) Fig1Row {
-	key := speedKey{policy: policy, items: items}
-	e.mu.Lock()
-	if r, ok := e.speed[key]; ok {
-		e.hits++
-		e.mu.Unlock()
-		return r
-	}
-	e.mu.Unlock()
-	if e.Canceled() {
-		return Fig1Row{Items: items, Policy: policy, Outcome: canceledOutcome()}
-	}
-	label := fmt.Sprintf("fig1:%s/%d", policy, items)
-	e.cellStart(label)
-	e.addTotal(1)
-	r := runSpeedtest(policy, items, e.attach(label), e.cancel)
-	if !r.Outcome.Canceled {
-		e.mu.Lock()
-		e.speed[key] = r
-		e.mu.Unlock()
-	}
-	e.noteDone(policy, r.Totals.Cycles)
-	return r
+	return runCell(e, e.speedCell(policy, items))
 }
-
-// Fig1 reproduces Figure 1 on a fresh engine; see Engine.Fig1.
-func Fig1(w io.Writer) map[uint32]map[string]Fig1Row { return NewEngine(0).Fig1(w) }
 
 // Fig1 reproduces Figure 1: SQLite speedtest performance and memory
 // overheads with increasing working-set items, inside the enclave.
@@ -104,10 +90,12 @@ func (e *Engine) Fig1(w io.Writer) map[uint32]map[string]Fig1Row {
 // are fanned across the engine's worker pool; output is byte-identical for
 // every worker count.
 func (e *Engine) Fig1Sweep(w io.Writer, itemsList []uint32) map[uint32]map[string]Fig1Row {
-	rows := make([]Fig1Row, len(itemsList)*len(PolicyNames))
-	e.runJobs(len(rows), func(i int) {
-		rows[i] = e.RunSpeedtest(PolicyNames[i%len(PolicyNames)], itemsList[i/len(PolicyNames)])
-	})
+	cells := make([]cell[Fig1Row], len(itemsList)*len(PolicyNames))
+	for i := range cells {
+		cells[i] = e.speedCell(PolicyNames[i%len(PolicyNames)], itemsList[i/len(PolicyNames)])
+	}
+	rows := make([]Fig1Row, len(cells))
+	runCells(e, cells, rows)
 
 	out := make(map[uint32]map[string]Fig1Row)
 	perfT := &Table{Title: "Figure 1: SQLite (minidb) speedtest — performance overhead over native SGX",

@@ -70,16 +70,8 @@ func measureApp(app, policy string, requests int, tel *telemetry.Profile, cancel
 	cfg.MemoryBudget = AppBudget
 	cfg.Tel = tel
 	cfg.Cancel = cancel
-	env := harden.NewEnv(cfg)
-	pl, err := NewPolicy(policy, env, core.AllOptimizations())
-	if err != nil {
-		panic(err)
-	}
-	c := harden.NewCtx(pl, env.M.NewThread())
 	res := AppResult{App: app, Policy: policy}
-
-	tel.Tracer().Emit(telemetry.Event{Kind: telemetry.EvPhaseBegin, Name: "run"})
-	res.Outcome = env.Capture(func() {
+	m := simulate(cfg, policy, core.AllOptimizations(), func(c *harden.Ctx) {
 		warmup := requests / 4
 		var startCycles uint64
 		switch app {
@@ -125,49 +117,36 @@ func measureApp(app, policy string, requests int, tel *telemetry.Profile, cancel
 		}
 		res.ServiceCycles = float64(c.T.C.Cycles-startCycles) / float64(requests)
 	})
-	totals := env.M.Finish(c.T)
-	res.PeakReserved = env.M.AS.PeakReserved()
-	res.PageFaults = env.M.PageFaults()
-	tel.Tracer().Emit(telemetry.Event{Ts: totals.Cycles, Kind: telemetry.EvPhaseEnd, Name: "run"})
-	publishRun(tel, env, &totals, totals.Cycles, res.PeakReserved)
+	res.Outcome, res.PeakReserved, res.PageFaults = m.outcome, m.peakReserved, m.pageFaults
 	return res
+}
+
+// appKey is the memo identity of one case-study cell.
+type appKey struct {
+	app, policy string
+	requests    int
+}
+
+// appCell is the cell of one case-study measurement, labelled
+// "fig13:app/policy/rN".
+func (e *Engine) appCell(app, policy string, requests int) cell[AppResult] {
+	return cell[AppResult]{
+		key:      appKey{app: app, policy: policy, requests: requests},
+		label:    fmt.Sprintf("fig13:%s/%s/r%d", app, policy, requests),
+		profiled: true,
+		policy:   policy,
+		skipped:  AppResult{App: app, Policy: policy, Outcome: harden.Outcome{Canceled: true}},
+		run: func(tel *telemetry.Profile) (AppResult, uint64) {
+			r := measureApp(app, policy, requests, tel, e.cancel)
+			return r, uint64(r.ServiceCycles * float64(requests))
+		},
+	}
 }
 
 // MeasureApp runs (or recalls) one case-study cell through the engine's
 // cache.
 func (e *Engine) MeasureApp(app, policy string, requests int) AppResult {
-	key := appKey{app: app, policy: policy, requests: requests}
-	e.mu.Lock()
-	if r, ok := e.apps[key]; ok {
-		e.hits++
-		e.mu.Unlock()
-		return r
-	}
-	e.mu.Unlock()
-	if e.Canceled() {
-		return AppResult{App: app, Policy: policy, Outcome: canceledOutcome()}
-	}
-	label := fmt.Sprintf("fig13:%s/%s/r%d", app, policy, requests)
-	e.cellStart(label)
-	e.addTotal(1)
-	r := measureApp(app, policy, requests, e.attach(label), e.cancel)
-	if !r.Outcome.Canceled {
-		e.mu.Lock()
-		e.apps[key] = r
-		e.mu.Unlock()
-	}
-	e.noteDone(policy, uint64(r.ServiceCycles*float64(requests)))
-	return r
-}
-
-// MeasureApps measures one app under each policy on the engine's worker
-// pool, returning results in policy order.
-func (e *Engine) MeasureApps(app string, policies []string, requests int) []AppResult {
-	rows := make([]AppResult, len(policies))
-	e.runJobs(len(rows), func(i int) {
-		rows[i] = e.MeasureApp(app, policies[i], requests)
-	})
-	return rows
+	return runCell(e, e.appCell(app, policy, requests))
 }
 
 // Fig13Clients is the client-count sweep of the throughput-latency plots.
@@ -176,28 +155,22 @@ var Fig13Clients = []int{1, 2, 4, 8, 16, 32}
 // Fig13Apps are the network case studies, in presentation order.
 var Fig13Apps = []string{"memcached", "apache", "nginx"}
 
-// Fig13 reproduces Figure 13 on a fresh engine; see Engine.Fig13.
-func Fig13(w io.Writer, requests int) map[string]map[string]AppResult {
-	return NewEngine(0).Fig13(w, requests)
-}
-
 // Fig13 reproduces Figure 13: throughput-latency behaviour and peak memory
 // usage of the three network case studies. The (app, policy) cells are
 // fanned across the engine's worker pool; output is byte-identical for
 // every worker count.
 func (e *Engine) Fig13(w io.Writer, requests int) map[string]map[string]AppResult {
-	if requests == 0 {
-		requests = 2000
+	cells := make([]cell[AppResult], len(Fig13Apps)*len(PolicyNames))
+	for i := range cells {
+		cells[i] = e.appCell(Fig13Apps[i/len(PolicyNames)], PolicyNames[i%len(PolicyNames)], requests)
 	}
-	cells := make([]AppResult, len(Fig13Apps)*len(PolicyNames))
-	e.runJobs(len(cells), func(i int) {
-		cells[i] = e.MeasureApp(Fig13Apps[i/len(PolicyNames)], PolicyNames[i%len(PolicyNames)], requests)
-	})
+	results := make([]AppResult, len(cells))
+	runCells(e, cells, results)
 	out := make(map[string]map[string]AppResult)
 	for ai, app := range Fig13Apps {
 		out[app] = make(map[string]AppResult)
 		for pi, pol := range PolicyNames {
-			out[app][pol] = cells[ai*len(PolicyNames)+pi]
+			out[app][pol] = results[ai*len(PolicyNames)+pi]
 		}
 		tab := &Table{
 			Title: fmt.Sprintf("Figure 13 (%s): throughput [kreq/s] / latency [ms] by concurrent clients", app),

@@ -3,11 +3,13 @@ package bench
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"sgxbounds/internal/machine"
+	"sgxbounds/internal/telemetry"
 	"sgxbounds/internal/workloads"
 )
 
@@ -77,4 +79,25 @@ func TestGoldenTable4(t *testing.T) {
 	var buf bytes.Buffer
 	NewEngine(4).Table4(&buf)
 	checkGolden(t, "table4", buf.Bytes())
+}
+
+// TestGoldenProfiles pins the telemetry profile of one cell of every kind
+// the engine runs, so the shared fresh-machine skeleton cannot drift: grid,
+// Figure 1 and Figure 13 cells publish the main thread's critical path as
+// run.cycles, and RIPE cells attach no profile at all.
+func TestGoldenProfiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("app measurements")
+	}
+	e := NewEngine(4)
+	e.Telemetry = telemetry.NewCollector(telemetry.Options{Metrics: true})
+	e.Fig1Sweep(io.Discard, []uint32{4000})
+	e.Fig13(io.Discard, 200)
+	e.Table4(io.Discard)
+	e.Run(Spec{Workload: "histogram", Policy: "sgxbounds", Size: workloads.XS, Threads: 2})
+	var buf bytes.Buffer
+	if err := telemetry.Dump(e.Telemetry.Profiles()).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "profiles", buf.Bytes())
 }

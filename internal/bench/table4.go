@@ -8,41 +8,49 @@ import (
 	"sgxbounds/internal/harden"
 	"sgxbounds/internal/machine"
 	"sgxbounds/internal/ripe"
+	"sgxbounds/internal/telemetry"
 )
 
 // Table4Policies are the mechanisms of the RIPE comparison, in presentation
 // order.
 var Table4Policies = []string{"sgx", "mpx", "asan", "sgxbounds", "baggy"}
 
-// Table4 reproduces the RIPE table on a fresh engine; see Engine.Table4.
-func Table4(w io.Writer) map[string]ripe.Summary { return NewEngine(0).Table4(w) }
+// ripeKey is the memo identity of one RIPE cell.
+type ripeKey struct{ policy string }
+
+// ripeCell is the cell of one mechanism's RIPE attack sweep, labelled
+// "table4:policy". The sweep builds a fresh machine per attack, carries no
+// telemetry profile and, not running through Capture, is only ever skipped
+// whole by cancellation, never aborted midway.
+func ripeCell(policy string) cell[ripe.Summary] {
+	return cell[ripe.Summary]{
+		key:    ripeKey{policy},
+		label:  "table4:" + policy,
+		policy: policy,
+		run: func(*telemetry.Profile) (ripe.Summary, uint64) {
+			return ripe.RunAll(func() *harden.Ctx {
+				env := harden.NewEnv(machine.DefaultConfig())
+				p, err := NewPolicy(policy, env, core.AllOptimizations())
+				if err != nil {
+					panic(err)
+				}
+				return harden.NewCtx(p, env.M.NewThread())
+			}), 0
+		},
+	}
+}
 
 // Table4 reproduces the RIPE security benchmark results (§6.6): how many of
 // the 16 attacks that work under shielded execution each mechanism
 // prevents. Each mechanism's attack sweep is one independent cell on the
 // engine's worker pool.
 func (e *Engine) Table4(w io.Writer) map[string]ripe.Summary {
-	summaries := make([]ripe.Summary, len(Table4Policies))
-	e.addTotal(len(Table4Policies))
-	e.runJobs(len(Table4Policies), func(i int) {
-		if e.Canceled() {
-			// RIPE sweeps don't run through Run's Capture, so the engine
-			// skips them wholesale; the zero summaries are discarded with
-			// the rest of a cancelled job's output.
-			return
-		}
-		pol := Table4Policies[i]
-		e.cellStart("table4:" + pol)
-		summaries[i] = ripe.RunAll(func() *harden.Ctx {
-			env := harden.NewEnv(machine.DefaultConfig())
-			p, err := NewPolicy(pol, env, core.AllOptimizations())
-			if err != nil {
-				panic(err)
-			}
-			return harden.NewCtx(p, env.M.NewThread())
-		})
-		e.noteDone(pol, 0)
-	})
+	cells := make([]cell[ripe.Summary], len(Table4Policies))
+	for i, pol := range Table4Policies {
+		cells[i] = ripeCell(pol)
+	}
+	summaries := make([]ripe.Summary, len(cells))
+	runCells(e, cells, summaries)
 
 	out := make(map[string]ripe.Summary)
 	fmt.Fprintf(w, "RIPE funnel: %d attacks work natively; the %d shellcode-based ones fail\n"+
