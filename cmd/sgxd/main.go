@@ -16,9 +16,9 @@
 // Cluster mode: -peers takes the boot membership ("n1=http://h:p,
 // n2=http://h:p,..." or "@peers.json") and -node-id names this node in it.
 // Every node gets the same list; submissions then route to each digest's
-// owner, results replicate by verified peer-fetch, idle nodes steal queued
-// work, and a node missing heartbeats for -dead-after intervals has its
-// journaled jobs re-enqueued on survivors exactly once. From there
+// owner, results replicate by verified peer-fetch, any node answers for
+// any job ID, and a node missing heartbeats for -dead-after intervals has
+// its journaled jobs re-enqueued on survivors exactly once. From there
 // membership is dynamic: -join URL starts this node as a fleet of one and
 // announces it to a running node (epoch-versioned views gossip on the
 // heartbeats; results it now owns re-replicate to it), and `sgxctl

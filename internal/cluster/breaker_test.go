@@ -202,7 +202,7 @@ func TestForwardFailuresOpenBreakerAndRouteFallsBack(t *testing.T) {
 	}
 	req := sched.SubmitRequest{Experiment: "fig1", Threads: 1}
 	for i := 0; i < breakerThreshold; i++ {
-		if _, err := c.Forward("n2", "t", req, ""); err == nil {
+		if _, _, err := c.Forward("n2", "t", req, ""); err == nil {
 			t.Fatal("Forward to an unreachable peer succeeded")
 		}
 	}

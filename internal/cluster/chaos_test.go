@@ -270,7 +270,7 @@ func TestClusterChaosSIGKILLConvergesByteIdentical(t *testing.T) {
 
 	// The cluster counters exist on /metrics with the contract names.
 	text := metricsText(t, recBase)
-	for _, name := range []string{"sgxd_peer_fetches_total", "sgxd_steals_total", "sgxd_cluster_jobs_recovered_total"} {
+	for _, name := range []string{"sgxd_peer_fetches_total", "sgxd_cluster_jobs_recovered_total"} {
 		if !strings.Contains(text, name) {
 			t.Errorf("/metrics missing %s", name)
 		}

@@ -22,11 +22,9 @@
 //     the race re-routes once against the new epoch before falling back
 //     to local compute.
 //   - Peer-fetch read-through: a local result miss consults live peers
-//     before computing — the best candidate raced against the second-best
-//     after a hedge delay derived from recent fetch latencies, so one
-//     slow peer cannot stall the read path. Peer bytes are re-verified
-//     (key, SimVersion, size, sha256) on arrival; corrupt bytes count,
-//     log, and fall through — they never reach a cache tier or a client.
+//     before computing, owner first. Peer bytes are re-verified (key,
+//     SimVersion, size, sha256) on arrival; corrupt bytes count, log, and
+//     fall through — they never reach a cache tier or a client.
 //   - Re-replication: on every epoch change each node scans its store
 //     manifest and pushes verified copies of results it no longer owns to
 //     the new owner (rate-limited, resumable; see rebalance.go), so a
@@ -35,18 +33,16 @@
 //     failures → open for a backoff window → half-open probe; see
 //     breaker.go) make a flapping peer cost one timeout instead of one
 //     per request, with fallback-to-local compute while open.
-//   - Work-stealing + recovery: an idle node shadow-computes queued jobs
-//     from the deepest straggler (the victim's own copy then settles via a
-//     warm store hit — no ownership handoff, duplicates are byte-identical
-//     by construction). When a node dies, exactly one survivor (its ring
+//   - Recovery and handoff: when a node dies, exactly one survivor (its
 //     successor among the living) re-enqueues the dead node's piggybacked
-//     unsettled jobs, at most once per job per boot incarnation.
+//     unsettled jobs, at most once per job per boot incarnation; a leaving
+//     node hands its still-queued jobs to their new owners. Both move
+//     pending work through one path, routeSubmit.
 //
 // Fault sites (internal/faultline): "cluster.heartbeat" drops outgoing
 // beats, "cluster.peer.fetch" fails the peer read-through, bitflip on
-// "cluster.peer.body" corrupts received result bytes, "cluster.steal"
-// delays/denies steal traffic, "cluster.join" fails join admission,
-// "cluster.rebalance" skips re-replication scan steps, and
+// "cluster.peer.body" corrupts received result bytes, "cluster.join" fails
+// join admission, "cluster.rebalance" skips re-replication scan steps, and
 // "cluster.peer.replicate" fails the push of one re-replicated result.
 package cluster
 
@@ -92,9 +88,9 @@ type Local interface {
 	// Unsettled lists queued/running jobs — the journal-replayable set a
 	// heartbeat piggybacks for dead-node recovery.
 	Unsettled(max int) []sched.PendingJob
-	// Stealable lists jobs still queued (no worker picked them up yet)
-	// that an idle peer may shadow-compute, or a leaving node hand off.
-	Stealable(max int) []sched.PendingJob
+	// Queued lists jobs still queued (no worker picked them up yet) — the
+	// set a leaving node hands off.
+	Queued(max int) []sched.PendingJob
 	// HasLocal reports whether this node already holds a verified result
 	// for key (memory or disk) — the serve-local shortcut in routing.
 	HasLocal(key string) bool
@@ -121,22 +117,16 @@ type Config struct {
 	Nodes []Node // boot membership, including Self (may be Self alone before a join)
 
 	// Heartbeat is the beat interval (default 1s); liveness, recovery
-	// checks, steal probes, and re-replication all run on its ticker.
+	// checks, and re-replication all run on its ticker.
 	Heartbeat time.Duration
 	// DeadAfter is how many missed beat intervals declare a peer dead
 	// (default 3).
 	DeadAfter int
-	// StealMax bounds the queued jobs stolen per idle tick (default 1).
-	StealMax int
-	// ReplicateMax bounds the results re-replicated per tick after an
-	// epoch change (default 4) — the rate limit on rebalance traffic.
-	ReplicateMax int
 
 	Local   Local
 	Metrics *telemetry.Registry
 	Faults  *faultline.Injector
 	Log     *log.Logger
-	Client  *http.Client // nil = a pooled client with a 30s timeout
 }
 
 // peerState is everything we know about one remote member.
@@ -152,38 +142,32 @@ type peerState struct {
 
 // Cluster is one node's view of the cluster.
 type Cluster struct {
-	self         Node
-	interval     time.Duration
-	deadAfter    time.Duration
-	stealMax     int
-	replicateMax int
-	local        Local
-	client       *http.Client
-	faults       *faultline.Injector
-	log          *log.Logger
-	nonce        string
-	breakers     *breakers
-	lat          *latTracker
+	self      Node
+	interval  time.Duration
+	deadAfter time.Duration
+	local     Local
+	client    *http.Client
+	faults    *faultline.Injector
+	log       *log.Logger
+	nonce     string
+	breakers  *breakers
 
-	// peer_fetches, steals, and rereplicated sit at the registry top level
-	// so the exposition names are exactly sgxd_peer_fetches_total,
-	// sgxd_steals_total, and sgxd_rereplicated_total; the rest live under
-	// cluster.*.
-	peerFetches, steals, rereplicated           *telemetry.Counter
-	peerCorrupt, stealsDonated                  *telemetry.Counter
+	// peer_fetches and rereplicated sit at the registry top level so the
+	// exposition names are exactly sgxd_peer_fetches_total and
+	// sgxd_rereplicated_total; the rest live under cluster.*.
+	peerFetches, rereplicated, peerCorrupt      *telemetry.Counter
 	beatsSent, beatsRecv, deaths, jobsRecovered *telemetry.Counter
 	forwarded, forwardFallback                  *telemetry.Counter
-	epochChanges, joins, breakerOpens, hedged   *telemetry.Counter
+	epochChanges, joins, breakerOpens           *telemetry.Counter
 
 	mu       sync.Mutex
 	view     View
 	ring     *ring
 	peers    map[string]*peerState
-	adopted  map[string]bool      // "deadID@nonce/jobID" → re-enqueued
-	stolen   map[string]time.Time // store key → last steal (thief-side dedupe)
-	rebal    *rebalanceScan       // in-progress re-replication scan (nil = idle)
-	leaving  bool                 // ring-excluded drain in progress
-	departed bool                 // graceful leave completed
+	adopted  map[string]bool // "deadID@nonce/jobID" → re-enqueued
+	rebal    *rebalanceScan  // in-progress re-replication scan (nil = idle)
+	leaving  bool            // ring-excluded drain in progress
+	departed bool            // graceful leave completed
 
 	stop     chan struct{}
 	loopDone chan struct{}
@@ -191,7 +175,7 @@ type Cluster struct {
 	started  bool
 }
 
-// New builds a Cluster; call Start to begin heartbeating and stealing.
+// New builds a Cluster; call Start to begin heartbeating.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Local == nil {
 		return nil, errors.New("cluster: Config.Local is required")
@@ -205,20 +189,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 3
 	}
-	if cfg.StealMax <= 0 {
-		cfg.StealMax = 1
-	}
-	if cfg.ReplicateMax <= 0 {
-		cfg.ReplicateMax = 4
-	}
 	if cfg.Log == nil {
 		cfg.Log = log.New(io.Discard, "", 0)
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
-	}
-	if cfg.Client == nil {
-		cfg.Client = defaultClient()
 	}
 
 	view := viewOf(cfg.Nodes)
@@ -239,23 +214,18 @@ func New(cfg Config) (*Cluster, error) {
 	nonce := make([]byte, 8)
 	rand.Read(nonce)
 	c := &Cluster{
-		self:         *self,
-		interval:     cfg.Heartbeat,
-		deadAfter:    time.Duration(cfg.DeadAfter) * cfg.Heartbeat,
-		stealMax:     cfg.StealMax,
-		replicateMax: cfg.ReplicateMax,
-		local:        cfg.Local,
-		client:       cfg.Client,
-		faults:       cfg.Faults,
-		log:          cfg.Log,
-		nonce:        hex.EncodeToString(nonce),
-		lat:          &latTracker{},
+		self:      *self,
+		interval:  cfg.Heartbeat,
+		deadAfter: time.Duration(cfg.DeadAfter) * cfg.Heartbeat,
+		local:     cfg.Local,
+		client:    defaultClient(),
+		faults:    cfg.Faults,
+		log:       cfg.Log,
+		nonce:     hex.EncodeToString(nonce),
 
 		peerFetches:     cfg.Metrics.Counter("peer_fetches"),
-		steals:          cfg.Metrics.Counter("steals"),
 		rereplicated:    cfg.Metrics.Counter("rereplicated"),
 		peerCorrupt:     cfg.Metrics.Counter("cluster.peer_corrupt"),
-		stealsDonated:   cfg.Metrics.Counter("cluster.steals_donated"),
 		beatsSent:       cfg.Metrics.Counter("cluster.heartbeats_sent"),
 		beatsRecv:       cfg.Metrics.Counter("cluster.heartbeats_recv"),
 		deaths:          cfg.Metrics.Counter("cluster.node_deaths"),
@@ -265,13 +235,11 @@ func New(cfg Config) (*Cluster, error) {
 		epochChanges:    cfg.Metrics.Counter("cluster.epoch_changes"),
 		joins:           cfg.Metrics.Counter("cluster.joins"),
 		breakerOpens:    cfg.Metrics.Counter("cluster.breaker_opens"),
-		hedged:          cfg.Metrics.Counter("cluster.hedged_fetches"),
 
 		view:     view,
 		ring:     newRing(view.ringIDs()),
 		peers:    peers,
 		adopted:  make(map[string]bool),
-		stolen:   make(map[string]time.Time),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
@@ -296,9 +264,9 @@ func (c *Cluster) Departed() bool {
 	return c.departed
 }
 
-// Start launches the heartbeat/recovery/steal loop. Every peer gets a
-// full dead-after grace window from this instant, so a cluster booting
-// node by node does not declare the stragglers dead on tick one.
+// Start launches the heartbeat/recovery/re-replication loop. Every peer
+// gets a full dead-after grace window from this instant, so a cluster
+// booting node by node does not declare the stragglers dead on tick one.
 func (c *Cluster) Start() {
 	c.mu.Lock()
 	if c.started {
@@ -337,7 +305,6 @@ func (c *Cluster) loop() {
 		case <-t.C:
 			c.beatOnce()
 			c.reapAndRecover()
-			c.stealOnce()
 			c.rebalanceOnce()
 		}
 	}
@@ -540,20 +507,18 @@ func (c *Cluster) Leave(ctx context.Context) error {
 	c.beatOnce() // the fleet must stop routing to us before we drain
 	c.local.BeginDrain()
 
-	// Hand off the jobs no worker has picked up yet: forward each to its
-	// owner under the leaving epoch, cancelling the local copy only when
-	// the forward succeeded (a failed handoff stays local and drains).
-	for _, pj := range c.local.Stealable(maxPiggyback) {
-		node, local := c.Route(pj.Req.StoreKey(), pj.Req.Force)
-		if local || node == "" {
-			continue
-		}
-		if _, err := c.Forward(node, "cluster-handoff", pj.Req, ""); err != nil {
-			c.log.Printf("cluster: handoff of %s to %s failed (%v); draining it locally", pj.ID, node, err)
+	// Hand off the jobs no worker has picked up yet through the same path
+	// recovery uses. Our own admission is draining, so routeSubmit can only
+	// succeed by landing the job on another node; the local copy is
+	// cancelled only then (a failed handoff stays local and drains).
+	for _, pj := range c.local.Queued(maxPiggyback) {
+		st, err := c.routeSubmit("cluster-handoff", pj.Req, "")
+		if err != nil || st.Node == "" || st.Node == c.self.ID {
+			c.log.Printf("cluster: handoff of %s failed (%v); draining it locally", pj.ID, err)
 			continue
 		}
 		c.local.Cancel(pj.ID)
-		c.log.Printf("cluster: handed off queued job %s to %s", pj.ID, node)
+		c.log.Printf("cluster: handed off queued job %s to %s as %s", pj.ID, st.Node, st.ID)
 	}
 
 	// Wait for running work to settle and the re-replication scan (our
@@ -740,23 +705,24 @@ func (c *Cluster) ownerOf(key string) string {
 }
 
 // Forward sends a submission to nodeID's cluster-submit endpoint, guarded
-// by the per-peer circuit breaker.
-func (c *Cluster) Forward(nodeID, tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
+// by the per-peer circuit breaker. coalesced reports that the owner
+// attached the submission to an identical in-flight job.
+func (c *Cluster) Forward(nodeID, tenant string, req sched.SubmitRequest, recoveredFrom string) (st sched.JobStatus, coalesced bool, err error) {
 	peer, ok := c.nodeByID(nodeID)
 	if !ok {
-		return sched.JobStatus{}, fmt.Errorf("cluster: unknown node %q", nodeID)
+		return sched.JobStatus{}, false, fmt.Errorf("cluster: unknown node %q", nodeID)
 	}
 	if !c.breakers.allow(nodeID) {
-		return sched.JobStatus{}, fmt.Errorf("cluster: breaker open for %s", nodeID)
+		return sched.JobStatus{}, false, fmt.Errorf("cluster: breaker open for %s", nodeID)
 	}
-	st, err := c.forwardSubmit(peer, tenant, req, recoveredFrom)
+	st, coalesced, err = c.forwardSubmit(peer, tenant, req, recoveredFrom)
 	if err != nil {
 		c.breakers.failure(nodeID)
-		return sched.JobStatus{}, err
+		return sched.JobStatus{}, false, err
 	}
 	c.breakers.success(nodeID)
 	c.forwarded.Inc()
-	return st, nil
+	return st, coalesced, nil
 }
 
 // ForwardRetry forwards a submission to node with the single bounded
@@ -764,23 +730,25 @@ func (c *Cluster) Forward(nodeID, tenant string, req sched.SubmitRequest, recove
 // (the ring may have moved mid-flight, or the owner may be gone), the key
 // is routed once more against the current epoch and the new owner tried
 // once. ok=false tells the caller to admit locally — no job is ever lost
-// to topology churn, and at most two forwards are ever attempted.
-func (c *Cluster) ForwardRetry(node, tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, string, bool) {
-	st, err := c.Forward(node, tenant, req, recoveredFrom)
+// to topology churn, and at most two forwards are ever attempted. The
+// returned status names the node that holds the job.
+func (c *Cluster) ForwardRetry(node, tenant string, req sched.SubmitRequest, recoveredFrom string) (st sched.JobStatus, coalesced, ok bool) {
+	st, coalesced, err := c.Forward(node, tenant, req, recoveredFrom)
 	if err == nil {
-		return st, node, true
+		return st, coalesced, true
 	}
 	if next, local := c.Route(req.StoreKey(), req.Force); !local && next != node {
-		if st, err2 := c.Forward(next, tenant, req, recoveredFrom); err2 == nil {
-			return st, next, true
+		if st, coalesced, err2 := c.Forward(next, tenant, req, recoveredFrom); err2 == nil {
+			return st, coalesced, true
 		}
 	}
 	c.forwardFallback.Inc()
 	c.log.Printf("cluster: forward of %.12s… to %s failed (%v); admitting locally", req.StoreKey(), node, err)
-	return sched.JobStatus{}, "", false
+	return sched.JobStatus{}, false, false
 }
 
-// routeSubmit is the placement-aware internal submit used by recovery:
+// routeSubmit is the one path that moves a pending job spec between
+// nodes, used by dead-node recovery and by a leaving node's queue handoff:
 // local when this node should serve the digest, forwarded (with the
 // bounded re-route) otherwise, falling back to local when no owner can be
 // reached — the work must not be lost to a second failure.
@@ -795,25 +763,14 @@ func (c *Cluster) routeSubmit(tenant string, req sched.SubmitRequest, recoveredF
 
 // FetchResult is the peer read-through the result tier consults below its
 // local miss: the digest's owner first (most likely holder), then every
-// other live peer whose breaker admits traffic. The two best candidates
-// are hedged — the second launches only if the first is slower than the
-// recent-latency hedge delay — and the rest walk sequentially. Only
+// other live peer whose breaker admits traffic, one at a time. Only
 // verified bytes come back; corrupt bodies count, log, and keep walking.
 // Satisfies resultier.PeerFetch.
 func (c *Cluster) FetchResult(key, version string) ([]byte, store.Meta, bool) {
 	if err := c.faults.Fire("cluster.peer.fetch", key); err != nil {
 		return nil, store.Meta{}, false
 	}
-	candidates := c.fetchCandidates(key)
-	if len(candidates) == 0 {
-		return nil, store.Meta{}, false
-	}
-	body, meta, ok, tried := c.hedgedFetch(candidates, key, version)
-	if ok {
-		c.peerFetches.Inc()
-		return body, meta, true
-	}
-	for _, node := range candidates[tried:] {
+	for _, node := range c.fetchCandidates(key) {
 		if body, meta, ok := c.fetchPeer(node, key, version); ok {
 			c.peerFetches.Inc()
 			return body, meta, true
@@ -859,184 +816,20 @@ func (c *Cluster) fetchPeer(node Node, key, version string) ([]byte, store.Meta,
 	if !c.breakers.allow(node.ID) {
 		return nil, store.Meta{}, false
 	}
-	start := time.Now()
 	body, meta, ok, reachable := c.fetchFrom(node, key, version)
 	if reachable {
 		c.breakers.success(node.ID)
-		c.lat.observe(time.Since(start))
 	} else {
 		c.breakers.failure(node.ID)
 	}
 	return body, meta, ok
 }
 
-// hedgedFetch races candidates[0] against candidates[1]: the second fetch
-// launches only if the first has not answered within the hedge delay, so
-// a slow peer cannot stall the read path while a healthy one costs no
-// extra traffic. Returns how many candidates were consumed so the caller
-// can continue the sequential walk after a miss.
-func (c *Cluster) hedgedFetch(candidates []Node, key, version string) (body []byte, meta store.Meta, ok bool, tried int) {
-	if len(candidates) < 2 {
-		b, m, k := c.fetchPeer(candidates[0], key, version)
-		return b, m, k, 1
-	}
-	type res struct {
-		body []byte
-		meta store.Meta
-		ok   bool
-	}
-	ch := make(chan res, 2)
-	launch := func(n Node) {
-		go func() {
-			b, m, k := c.fetchPeer(n, key, version)
-			ch <- res{b, m, k}
-		}()
-	}
-	launch(candidates[0])
-	launched := 1
-	timer := time.NewTimer(c.lat.hedgeDelay())
-	defer timer.Stop()
-	for answered := 0; answered < launched; {
-		select {
-		case r := <-ch:
-			answered++
-			if r.ok {
-				return r.body, r.meta, true, launched
-			}
-		case <-timer.C:
-			if launched < 2 {
-				c.hedged.Inc()
-				launch(candidates[1])
-				launched++
-			}
-		}
-	}
-	return nil, store.Meta{}, false, launched
-}
-
-// latTracker keeps a bounded window of successful peer-fetch latencies
-// and derives the hedge delay from a high percentile of it.
-type latTracker struct {
-	mu      sync.Mutex
-	samples [64]time.Duration
-	n       int // filled entries
-	idx     int // ring cursor
-}
-
-// hedgeDelay floor and cold-start default: hedging below the floor would
-// double traffic on every fetch; before any sample exists the delay is
-// deliberately generous.
-const (
-	hedgeFloor   = 20 * time.Millisecond
-	hedgeDefault = 75 * time.Millisecond
-)
-
-func (l *latTracker) observe(d time.Duration) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.samples[l.idx] = d
-	l.idx = (l.idx + 1) % len(l.samples)
-	if l.n < len(l.samples) {
-		l.n++
-	}
-}
-
-// hedgeDelay is twice the p90 of the recent window (floored): slower than
-// that and the first peer is genuinely struggling, not merely busy.
-func (l *latTracker) hedgeDelay() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n == 0 {
-		return hedgeDefault
-	}
-	window := make([]time.Duration, l.n)
-	copy(window, l.samples[:l.n])
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	p90 := window[(l.n*9)/10%l.n]
-	d := 2 * p90
-	if d < hedgeFloor {
-		d = hedgeFloor
-	}
-	return d
-}
-
-// Donate is the victim side of a steal: hand up to max queued jobs to a
-// thief. The jobs are not dequeued — the thief shadow-computes into the
-// shared content-address space and the victim's own copy settles via a
-// warm store (or peer-fetch) hit when a worker finally picks it up.
-// Duplicated compute is the worst case, and it is byte-identical.
-func (c *Cluster) Donate(max int) []sched.PendingJob {
-	if max <= 0 {
-		max = 1
-	}
-	if err := c.faults.Fire("cluster.steal", "donate"); err != nil {
-		return nil
-	}
-	jobs := c.local.Stealable(max)
-	c.stealsDonated.Add(uint64(len(jobs)))
-	return jobs
-}
-
-// stealOnce runs on each tick: when this node's backlog is empty, pull
-// queued jobs from the deepest live straggler and compute them here.
-func (c *Cluster) stealOnce() {
-	c.mu.Lock()
-	idle := !c.leaving && !c.departed
-	c.mu.Unlock()
-	if !idle {
-		return // a draining node must not acquire new work
-	}
-	if queued, _ := c.local.Depth(); queued > 0 {
-		return // not idle; no stealing
-	}
-	var victim Node
-	deepest := 0
-	c.mu.Lock()
-	for _, ps := range c.peers {
-		if ps.alive && ps.queued > deepest {
-			victim, deepest = ps.node, ps.queued
-		}
-	}
-	c.mu.Unlock()
-	if deepest == 0 {
-		return
-	}
-	if err := c.faults.Fire("cluster.steal", victim.ID); err != nil {
-		return
-	}
-	for _, pj := range c.fetchSteal(victim, c.stealMax) {
-		key := pj.Req.StoreKey()
-		if c.recentlyStolen(key) || c.local.HasLocal(key) {
-			continue
-		}
-		if _, err := c.local.Admit("cluster-steal", pj.Req, ""); err != nil {
-			continue
-		}
-		c.markStolen(key)
-		c.steals.Inc()
-		c.log.Printf("cluster: stole job %s (key %.12s…) from %s", pj.ID, key, victim.ID)
-	}
-}
-
-// recentlyStolen / markStolen keep an idle node from re-stealing the same
-// digest every tick while its first shadow compute is still running.
-func (c *Cluster) recentlyStolen(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.stolen[key]
-	return ok && time.Since(t) < 20*c.interval
-}
-
-func (c *Cluster) markStolen(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Now()
-	for k, t := range c.stolen {
-		if now.Sub(t) > 40*c.interval {
-			delete(c.stolen, k)
-		}
-	}
-	c.stolen[key] = now
+// IsMember reports whether id names a node in this node's current
+// membership view (self included).
+func (c *Cluster) IsMember(id string) bool {
+	_, ok := c.nodeByID(id)
+	return ok
 }
 
 func (c *Cluster) nodeByID(id string) (Node, bool) {

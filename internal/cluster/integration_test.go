@@ -234,18 +234,22 @@ func clusterStatus(t *testing.T, base string) cluster.Status {
 // submitVia posts through the public submit endpoint (route-or-serve).
 func submitVia(t *testing.T, base string, req serve.SubmitRequest) serve.JobStatus {
 	t.Helper()
-	return postSubmit(t, base+"/api/v1/jobs", req)
+	st, _ := postSubmit(t, base+"/api/v1/jobs", req)
+	return st
 }
 
 // submitPinned posts through the cluster-internal endpoint, which always
-// admits locally — how a forwarded, recovered, or stolen job arrives, and
-// how tests pin a job onto one specific node.
+// admits locally — how a forwarded, recovered, or handed-off job arrives,
+// and how tests pin a job onto one specific node.
 func submitPinned(t *testing.T, base string, req serve.SubmitRequest) serve.JobStatus {
 	t.Helper()
-	return postSubmit(t, base+"/api/v1/cluster/submit", req)
+	st, _ := postSubmit(t, base+"/api/v1/cluster/submit", req)
+	return st
 }
 
-func postSubmit(t *testing.T, url string, req serve.SubmitRequest) serve.JobStatus {
+// postSubmit posts one submission, requires a 201, and returns the job
+// status with the response headers.
+func postSubmit(t *testing.T, url string, req serve.SubmitRequest) (serve.JobStatus, http.Header) {
 	t.Helper()
 	raw, _ := json.Marshal(req)
 	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
@@ -261,7 +265,7 @@ func postSubmit(t *testing.T, url string, req serve.SubmitRequest) serve.JobStat
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return st, resp.Header
 }
 
 // waitDone polls base for id until the job is done (proxying included).
@@ -339,7 +343,9 @@ func distinctSpecs(n int) []serve.SubmitRequest {
 // TestRouteOrServeSpreadsAndProxies drives the tentpole path end to end:
 // distinct submissions through one front node spread across the ring,
 // every status and result fetch through that same node proxies to the
-// owner, and the bytes match the deterministic oracle everywhere.
+// owner, and the bytes match the deterministic oracle everywhere. Any
+// node answers for any job: a third node that neither fronted nor owns
+// the job serves the same bytes, because the job ID names its holder.
 func TestRouteOrServeSpreadsAndProxies(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
 	front := nodes[0]
@@ -371,9 +377,56 @@ func TestRouteOrServeSpreadsAndProxies(t *testing.T) {
 		if direct := fetchResult(t, owner.url, st.ID); direct != got {
 			t.Fatalf("owner/front results differ: %q vs %q", direct, got)
 		}
+		for _, other := range nodes {
+			if other != front && other != owner {
+				if via := fetchResult(t, other.url, st.ID); via != got {
+					t.Fatalf("via %s (neither front nor owner): %q, want %q", other.id, via, got)
+				}
+				break
+			}
+		}
 	}
 	if len(owners) < 2 {
 		t.Fatalf("12 distinct digests all landed on %v; placement is not spreading", owners)
+	}
+	if code := getJSON(t, front.url+"/api/v1/jobs/n9-j000001", nil); code != http.StatusNotFound {
+		t.Fatalf("job ID naming no member: HTTP %d, want 404", code)
+	}
+}
+
+// TestForwardedSubmitKeepsCoalescedHeader pins the coalesced flag across a
+// forward: a spec owned by n2, submitted twice through n1 while the first
+// job is still running on n2, coalesces on the owner — and the second 201
+// that n1 returns must say so, with the first job's ID.
+func TestForwardedSubmitKeepsCoalescedHeader(t *testing.T) {
+	nodes := startCluster(t, 2, func(i int) nodeOpts {
+		return nodeOpts{gated: i == 1}
+	})
+	front, owner := nodes[0], nodes[1]
+
+	var req serve.SubmitRequest
+	var first serve.JobStatus
+	for _, spec := range distinctSpecs(32) {
+		st, _ := postSubmit(t, front.url+"/api/v1/jobs", spec)
+		if st.Node == owner.id {
+			req, first = spec, st
+			break
+		}
+	}
+	if first.ID == "" {
+		t.Fatal("no spec out of 32 was placed on n2")
+	}
+	second, hdr := postSubmit(t, front.url+"/api/v1/jobs", req)
+	if got := hdr.Get(serve.CoalescedHeader); got != "true" {
+		t.Fatalf("forwarded duplicate submit: %s = %q, want \"true\"", serve.CoalescedHeader, got)
+	}
+	if second.ID != first.ID {
+		t.Fatalf("forwarded duplicate got job %s, want the in-flight %s", second.ID, first.ID)
+	}
+	owner.release()
+	waitDone(t, front.url, first.ID)
+	if got, want := fetchResult(t, front.url, first.ID), output(req.Job().Canonical()); got != want {
+		t.Fatalf("coalesced job result %q, want %q", got, want)
 	}
 }
 
@@ -450,53 +503,6 @@ func TestPeerFetchBitflipSelfHeals(t *testing.T) {
 	}
 }
 
-// TestWorkStealing pins the idle-thief path: with one node wedged on a
-// gated computation and a queue behind it, the idle peer lifts queued
-// specs, computes them, and the victim's own copies settle as store hits
-// fed back by peer fetch.
-func TestWorkStealing(t *testing.T) {
-	nodes := startCluster(t, 2, func(i int) nodeOpts {
-		if i == 0 {
-			return nodeOpts{workers: 1, gated: true}
-		}
-		return nodeOpts{}
-	})
-	victim, thief := nodes[0], nodes[1]
-
-	specs := distinctSpecs(3)
-	ids := make([]string, len(specs))
-	for i, req := range specs {
-		ids[i] = submitPinned(t, victim.url, req).ID
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for metricValue(metricsText(t, thief.url), "sgxd_steals_total") < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("thief never stole from a wedged victim")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	victim.release()
-	fromStore := 0
-	for i, id := range ids {
-		done := waitDone(t, victim.url, id)
-		if done.FromStore {
-			fromStore++
-		}
-		want := output(specs[i].Job().Canonical())
-		if got := fetchResult(t, victim.url, id); got != want {
-			t.Fatalf("job %s: %q, want %q", id, got, want)
-		}
-	}
-	if thief.computes.Load() < 1 {
-		t.Fatal("thief stole but never computed")
-	}
-	if fromStore == 0 {
-		t.Fatal("no victim job settled from the store; stolen results were not fed back")
-	}
-}
-
 // TestDeadNodeRecoveryExactlyOnce is the headline chaos property in
 // process form: a node holding unsettled jobs dies silently; after
 // DeadAfter missed heartbeats the elected survivor re-enqueues exactly
@@ -505,7 +511,7 @@ func TestWorkStealing(t *testing.T) {
 func TestDeadNodeRecoveryExactlyOnce(t *testing.T) {
 	nodes := startCluster(t, 3, func(i int) nodeOpts {
 		if i == 2 {
-			return nodeOpts{workers: 2, gated: true} // both jobs run wedged: unsettled, unstealable
+			return nodeOpts{workers: 2, gated: true} // both jobs run wedged: unsettled
 		}
 		return nodeOpts{}
 	})

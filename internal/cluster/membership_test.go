@@ -17,7 +17,7 @@ func (nopLocal) Admit(string, sched.SubmitRequest, string) (sched.JobStatus, err
 }
 func (nopLocal) Depth() (int, int)                 { return 0, 64 }
 func (nopLocal) Unsettled(int) []sched.PendingJob  { return nil }
-func (nopLocal) Stealable(int) []sched.PendingJob  { return nil }
+func (nopLocal) Queued(int) []sched.PendingJob     { return nil }
 func (nopLocal) HasLocal(string) bool              { return false }
 func (nopLocal) Cancel(string) bool                { return false }
 func (nopLocal) BeginDrain()                       {}

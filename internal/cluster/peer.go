@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"sgxbounds/internal/serve/sched"
@@ -25,12 +24,17 @@ const (
 	// re-enqueues its journaled work, so the receiving node can annotate
 	// the adopted job (JobStatus.RecoveredFrom).
 	RecoveredHeader = "X-Sgxd-Recovered-From"
+	// CoalescedHeader is set to "true" on a submit response that attached
+	// to an identical in-flight computation instead of starting its own.
+	// The owner sets it on a forwarded submit, and the forwarding node
+	// passes it on to its client (serve.CoalescedHeader is this name).
+	CoalescedHeader = "X-Sgxd-Coalesced"
 )
 
 // Beat is one heartbeat: liveness plus the piggybacked state the cluster
-// needs anyway — queue depth for bounded-load placement and steal-victim
-// selection, and the sender's unsettled (queued/running, i.e. journal-
-// replayable) jobs so survivors can re-enqueue them if the sender dies.
+// needs anyway — queue depth for bounded-load placement, and the sender's
+// unsettled (queued/running, i.e. journal-replayable) jobs so survivors
+// can re-enqueue them if the sender dies.
 // Nonce identifies the sender's boot incarnation: recovery runs at most
 // once per (node, nonce), and a restarted node arrives with a fresh nonce
 // and a clean slate.
@@ -189,15 +193,15 @@ func verifyEnvelope(key, version string, body []byte, meta store.Meta) bool {
 }
 
 // forwardSubmit routes one submission to its owning node's cluster-submit
-// endpoint and returns the owner's job status.
-func (c *Cluster) forwardSubmit(peer Node, tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
+// endpoint and returns the owner's job status and coalesced flag.
+func (c *Cluster) forwardSubmit(peer Node, tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, bool, error) {
 	raw, err := json.Marshal(req)
 	if err != nil {
-		return sched.JobStatus{}, err
+		return sched.JobStatus{}, false, err
 	}
 	hreq, err := http.NewRequest(http.MethodPost, peer.Addr+"/api/v1/cluster/submit", bytes.NewReader(raw))
 	if err != nil {
-		return sched.JobStatus{}, err
+		return sched.JobStatus{}, false, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	if tenant != "" {
@@ -208,39 +212,22 @@ func (c *Cluster) forwardSubmit(peer Node, tenant string, req sched.SubmitReques
 	}
 	resp, err := c.client.Do(hreq)
 	if err != nil {
-		return sched.JobStatus{}, err
+		return sched.JobStatus{}, false, err
 	}
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusCreated {
-		return sched.JobStatus{}, fmt.Errorf("cluster: submit to %s: %s: %s", peer.ID, resp.Status, readErrorBody(resp.Body))
+		return sched.JobStatus{}, false, fmt.Errorf("cluster: submit to %s: %s: %s", peer.ID, resp.Status, readErrorBody(resp.Body))
 	}
 	var st sched.JobStatus
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		return sched.JobStatus{}, err
+		return sched.JobStatus{}, false, err
 	}
-	return st, nil
+	return st, resp.Header.Get(CoalescedHeader) == "true", nil
 }
 
-// fetchSteal asks a straggling peer for queued jobs to shadow-compute.
-func (c *Cluster) fetchSteal(peer Node, max int) []sched.PendingJob {
-	resp, err := c.client.Get(peer.Addr + "/api/v1/cluster/steal?max=" + strconv.Itoa(max))
-	if err != nil {
-		return nil
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var jobs []sched.PendingJob
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&jobs); err != nil {
-		return nil
-	}
-	return jobs
-}
-
-// ProxyJob forwards an HTTP request for a routed job (status, result,
-// progress, profile, cancel) to the node that owns it, streaming the
-// response back. The response is always written: either the peer's, or a
+// ProxyJob forwards an HTTP request for another node's job (status,
+// result, progress, profile, cancel) to the node that holds it, streaming
+// the response back. The response is always written: either the peer's, or a
 // 502 explaining why the peer could not answer.
 func (c *Cluster) ProxyJob(w http.ResponseWriter, r *http.Request, nodeID string) {
 	c.ProxyPath(w, r, nodeID, r.URL.Path)

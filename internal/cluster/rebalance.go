@@ -10,12 +10,16 @@ import "sort"
 // new owner recomputes or peer-fetches later", never to a bad result.
 //
 // The scan is deliberately lazy and rate-limited: the manifest snapshots
-// on the first tick after the epoch change, then at most
-// Config.ReplicateMax keys move per heartbeat tick. A scan interrupted by
-// another epoch change simply restarts against the new ring (the cursor
-// state is an epoch-scoped field, reset by installViewLocked); keys
-// already pushed are deduplicated by the receiver's store, so a restart
-// re-verifies cheaply instead of re-transferring.
+// on the first tick after the epoch change, then at most replicateMax
+// keys move per heartbeat tick. A scan interrupted by another epoch change
+// simply restarts against the new ring (the cursor state is an
+// epoch-scoped field, reset by installViewLocked); keys already pushed are
+// deduplicated by the receiver's store, so a restart re-verifies cheaply
+// instead of re-transferring.
+
+// replicateMax bounds the results re-replicated per heartbeat tick — the
+// rate limit on rebalance traffic.
+const replicateMax = 4
 
 // rebalanceScan is the resumable cursor of one epoch's re-replication
 // pass. keys stays nil until the first tick snapshots the manifest.
@@ -51,7 +55,7 @@ func (c *Cluster) rebalanceOnce() {
 	c.mu.Unlock()
 
 	pushed := 0
-	for pushed < c.replicateMax {
+	for pushed < replicateMax {
 		c.mu.Lock()
 		if c.rebal != scan { // a newer epoch restarted the scan
 			c.mu.Unlock()

@@ -2,13 +2,13 @@ package protocheck
 
 // The cluster's shared-truth configuration, modeled in-process: two
 // schedulers (two worlds, two journals) sit over ONE content-addressed
-// store, and both are handed the same digest. Work-stealing and dead-node
-// recovery both produce exactly this shape — the same spec queued on two
-// nodes whose stores converge — so the oracle here is the cluster's core
-// promise: settled-once per scheduler (nobody computes twice, and a
-// scheduler that sees the other's settled result serves it from the
-// store) and byte-identity (every served result is the canonical bytes,
-// and the store holds exactly one committed copy).
+// store, and both are handed the same digest. Dead-node recovery and a
+// leaving node's queue handoff both produce exactly this shape — the same
+// spec queued on two nodes whose stores converge — so the oracle here is
+// the cluster's core promise: settled-once per scheduler (nobody computes
+// twice, and a scheduler that sees the other's settled result serves it
+// from the store) and byte-identity (every served result is the canonical
+// bytes, and the store holds exactly one committed copy).
 //
 // The explorer machinery is single-world, so this suite enumerates the
 // interleavings itself: every merge of the two nodes' scripts

@@ -135,8 +135,8 @@ type JobStatus struct {
 
 // PendingJob pairs a job's ID with its resubmittable request — the unit
 // the cluster layer moves between nodes: heartbeats piggyback each node's
-// unsettled set so survivors can adopt a dead node's work, and the steal
-// endpoint hands queued jobs to idle thieves.
+// unsettled set so survivors can adopt a dead node's work, and a leaving
+// node hands its queued jobs to their new owners.
 type PendingJob struct {
 	ID  string        `json:"id"`
 	Req SubmitRequest `json:"req"`

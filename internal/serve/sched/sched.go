@@ -71,10 +71,9 @@ type Config struct {
 	Manual bool
 	// IDPrefix namespaces minted job IDs ("<prefix>j000001"). Cluster
 	// nodes pass "<nodeID>-" so IDs are globally unique across the
-	// membership: the front node resolves a fetched ID either locally or
-	// through its forward-route table, and two nodes independently minting
-	// "j000001" would make that resolution ambiguous. Empty outside
-	// cluster mode (the historical format).
+	// membership and name the node that holds the job: any node resolves
+	// a fetched ID locally or by proxying to the node its prefix names.
+	// Empty outside cluster mode (the historical format).
 	IDPrefix string
 }
 
@@ -245,11 +244,11 @@ func (s *Scheduler) Unsettled(max int) []PendingJob {
 	return s.pendingWhere(max, func(st JobState) bool { return !st.Terminal() })
 }
 
-// Stealable returns up to max jobs still waiting in the queue (no worker
-// has picked them up), in submission order — the set an idle cluster peer
-// may shadow-compute. Running jobs are excluded: their compute is already
-// paid for here, and a thief duplicating it buys nothing.
-func (s *Scheduler) Stealable(max int) []PendingJob {
+// Queued returns up to max jobs still waiting in the queue (no worker has
+// picked them up), in submission order — the set a leaving cluster node
+// hands off. Running jobs are excluded: their compute is already paid for
+// here, so they drain locally.
+func (s *Scheduler) Queued(max int) []PendingJob {
 	return s.pendingWhere(max, func(st JobState) bool { return st == StateQueued })
 }
 

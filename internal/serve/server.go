@@ -10,7 +10,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -30,8 +30,10 @@ import (
 const TenantHeader = "X-Sgxd-Tenant"
 
 // CoalescedHeader is set to "true" on a submit response that attached to
-// an identical in-flight computation instead of starting its own.
-const CoalescedHeader = "X-Sgxd-Coalesced"
+// an identical in-flight computation instead of starting its own. The
+// name is defined once, in the cluster layer, which reads it back from a
+// forwarded submit's owner.
+const CoalescedHeader = cluster.CoalescedHeader
 
 // DefaultTenant is the accounting bucket for requests with no tenant
 // header.
@@ -101,11 +103,11 @@ type Config struct {
 	// drive protocheck schedules; production daemons leave it false.
 	Manual bool
 
-	// Cluster, when non-nil, joins this daemon to a static multi-node
-	// cluster (internal/cluster): submissions route to each digest's
-	// owner, results replicate by verified peer-fetch read-through, idle
-	// nodes steal queued work from stragglers, and a dead node's journaled
-	// jobs are re-enqueued on survivors exactly once.
+	// Cluster, when non-nil, joins this daemon to a multi-node cluster
+	// (internal/cluster): submissions route to each digest's owner,
+	// results replicate by verified peer-fetch read-through, any node
+	// answers for any job, and a dead node's journaled jobs are re-enqueued
+	// on survivors exactly once.
 	Cluster *ClusterConfig
 }
 
@@ -116,7 +118,6 @@ type ClusterConfig struct {
 	Nodes     []cluster.Node // full membership, including Self
 	Heartbeat time.Duration  // beat interval (default 1s)
 	DeadAfter int            // missed beats before a peer is dead (default 3)
-	StealMax  int            // queued jobs stolen per idle tick (default 1)
 }
 
 // Server is the sgxd daemon: a thin HTTP transport wiring the admission
@@ -137,18 +138,7 @@ type Server struct {
 	draining atomic.Bool
 
 	defaultEPC uint64 // Config.DefaultEPCBytes, applied at submission
-
-	// routed remembers which node a forwarded job landed on, so status,
-	// result, progress, profile, and cancel requests for it proxy there.
-	// Bounded FIFO: a client that lost its route past the bound resubmits
-	// (content addressing makes that a warm hit on the owner).
-	routedMu    sync.Mutex
-	routed      map[string]string
-	routedOrder []string
 }
-
-// maxRoutedJobs bounds the routed-job table.
-const maxRoutedJobs = 16384
 
 // New builds a server; call Handler for its API and Shutdown to drain.
 // When cfg.Journal is set, the scheduler replays it before accepting
@@ -182,9 +172,9 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
-	// Cluster nodes namespace their job IDs ("n2-j000017") so an ID minted
-	// on one node can never shadow a forwarded job's ID from another — the
-	// route table and the local scheduler share the jobFor lookup path.
+	// Cluster nodes namespace their job IDs ("n2-j000017"): the ID names
+	// the node that holds the job, so any node can resolve it (jobFor), and
+	// two nodes can never mint the same ID.
 	idPrefix := ""
 	if cfg.Cluster != nil {
 		idPrefix = cfg.Cluster.Self + "-"
@@ -234,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 			Nodes:     cfg.Cluster.Nodes,
 			Heartbeat: cfg.Cluster.Heartbeat,
 			DeadAfter: cfg.Cluster.DeadAfter,
-			StealMax:  cfg.Cluster.StealMax,
 			Local:     clusterLocal{s},
 			Metrics:   metrics,
 			Faults:    cfg.Faults,
@@ -244,7 +233,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.cluster = cl
-		s.routed = make(map[string]string)
 		cache.SetPeerFetch(cl.FetchResult)
 		doorCfg.Router = cl
 	}
@@ -363,8 +351,8 @@ func (s *Server) Abort() error {
 
 // clusterLocal adapts the server into the cluster layer's view of its own
 // node (cluster.Local): submissions land through the admission layer so
-// recovered and stolen jobs coalesce with (and are quota-accounted like)
-// everything else.
+// recovered and handed-off jobs coalesce with (and are quota-accounted
+// like) everything else.
 type clusterLocal struct{ s *Server }
 
 func (l clusterLocal) Admit(tenant string, req SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
@@ -384,7 +372,7 @@ func (l clusterLocal) Admit(tenant string, req SubmitRequest, recoveredFrom stri
 
 func (l clusterLocal) Depth() (int, int)                    { return l.s.sched.Depth() }
 func (l clusterLocal) Unsettled(max int) []sched.PendingJob { return l.s.sched.Unsettled(max) }
-func (l clusterLocal) Stealable(max int) []sched.PendingJob { return l.s.sched.Stealable(max) }
+func (l clusterLocal) Queued(max int) []sched.PendingJob    { return l.s.sched.Queued(max) }
 func (l clusterLocal) Cancel(id string) bool                { return l.s.sched.Cancel(id) }
 func (l clusterLocal) BeginDrain()                          { l.s.BeginDrain() }
 
@@ -443,31 +431,6 @@ func (s *Server) stampNode(st *JobStatus) {
 	}
 }
 
-// rememberRoute records where a forwarded job lives, evicting the oldest
-// route past the bound.
-func (s *Server) rememberRoute(id, node string) {
-	if id == "" {
-		return
-	}
-	s.routedMu.Lock()
-	defer s.routedMu.Unlock()
-	if _, ok := s.routed[id]; !ok {
-		s.routedOrder = append(s.routedOrder, id)
-		for len(s.routedOrder) > maxRoutedJobs {
-			delete(s.routed, s.routedOrder[0])
-			s.routedOrder = s.routedOrder[1:]
-		}
-	}
-	s.routed[id] = node
-}
-
-func (s *Server) routeOf(id string) (string, bool) {
-	s.routedMu.Lock()
-	defer s.routedMu.Unlock()
-	node, ok := s.routed[id]
-	return node, ok
-}
-
 // ---- HTTP layer ----
 
 func (s *Server) routes() {
@@ -494,14 +457,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// Cluster peer endpoints (404 outside cluster mode): node-to-node
 	// heartbeats, verified result fetch, owner-side submit, the
-	// steal-donation and re-replication seams, membership churn
-	// (join/leave), and the operator-facing membership and fleet-wide
-	// quarantine views.
+	// re-replication seam, membership churn (join/leave), and the
+	// operator-facing membership and fleet-wide quarantine views.
 	s.mux.HandleFunc("GET /api/v1/cluster/status", s.handleClusterStatus)
 	s.mux.HandleFunc("POST /api/v1/cluster/heartbeat", s.handleClusterHeartbeat)
 	s.mux.HandleFunc("GET /api/v1/cluster/results/{key}", s.handleClusterResult)
 	s.mux.HandleFunc("POST /api/v1/cluster/submit", s.handleClusterSubmit)
-	s.mux.HandleFunc("GET /api/v1/cluster/steal", s.handleClusterSteal)
 	s.mux.HandleFunc("POST /api/v1/cluster/join", s.handleClusterJoin)
 	s.mux.HandleFunc("POST /api/v1/cluster/leave", s.handleClusterLeave)
 	s.mux.HandleFunc("POST /api/v1/cluster/replicate", s.handleClusterReplicate)
@@ -539,9 +500,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// a reachable node never refuses work because the owner is down.
 	if s.cluster != nil {
 		if node, local := s.door.Route(req); !local {
-			if st, landed, ok := s.cluster.ForwardRetry(node, tenant, req, ""); ok {
-				s.rememberRoute(st.ID, landed)
-				writeJSON(w, http.StatusCreated, st)
+			if st, coalesced, ok := s.cluster.ForwardRetry(node, tenant, req, ""); ok {
+				writeSubmitted(w, st, coalesced)
 				return
 			}
 		}
@@ -551,11 +511,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeAdmitError(w, err)
 		return
 	}
+	st := j.Status()
+	s.stampNode(&st)
+	writeSubmitted(w, st, coalesced)
+}
+
+// writeSubmitted answers an accepted submission with 201 and the job's
+// status, flagging a coalesced follower with CoalescedHeader.
+func writeSubmitted(w http.ResponseWriter, st JobStatus, coalesced bool) {
 	if coalesced {
 		w.Header().Set(CoalescedHeader, "true")
 	}
-	st := j.Status()
-	s.stampNode(&st)
 	writeJSON(w, http.StatusCreated, st)
 }
 
@@ -593,18 +559,22 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, all)
 }
 
-// jobFor resolves {id} to a local job. In cluster mode, a job this node
-// forwarded elsewhere is proxied to its owner instead (the response is
-// then already written).
+// jobFor resolves {id} to a local job. In cluster mode, an ID minted by
+// another member is proxied to that member instead (the response is then
+// already written). The ID names its holder: New prefixes every cluster
+// job ID with "<nodeID>-", and node IDs may themselves contain '-', so the
+// node is the text before the last '-'.
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*sched.Job, bool) {
 	id := r.PathValue("id")
 	if j, ok := s.sched.Get(id); ok {
 		return j, true
 	}
 	if s.cluster != nil {
-		if node, ok := s.routeOf(id); ok {
-			s.cluster.ProxyJob(w, r, node)
-			return nil, false
+		if i := strings.LastIndexByte(id, '-'); i > 0 {
+			if node := id[:i]; node != s.cluster.Self() && s.cluster.IsMember(node) {
+				s.cluster.ProxyJob(w, r, node)
+				return nil, false
+			}
 		}
 	}
 	writeError(w, http.StatusNotFound, "no such job %q", id)
@@ -847,29 +817,9 @@ func (s *Server) handleClusterSubmit(w http.ResponseWriter, r *http.Request) {
 	if recoveredFrom := r.Header.Get(cluster.RecoveredHeader); recoveredFrom != "" && !coalesced {
 		j.SetRecoveredFrom(recoveredFrom)
 	}
-	if coalesced {
-		w.Header().Set(CoalescedHeader, "true")
-	}
 	st := j.Status()
 	s.stampNode(&st)
-	writeJSON(w, http.StatusCreated, st)
-}
-
-func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	max := 1
-	if q := r.URL.Query().Get("max"); q != "" {
-		if n, err := strconv.Atoi(q); err == nil && n > 0 {
-			max = n
-		}
-	}
-	jobs := s.cluster.Donate(max)
-	if jobs == nil {
-		jobs = []sched.PendingJob{}
-	}
-	writeJSON(w, http.StatusOK, jobs)
+	writeSubmitted(w, st, coalesced)
 }
 
 // handleClusterJoin admits membership churn. Two body forms share the

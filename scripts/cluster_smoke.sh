@@ -159,7 +159,7 @@ echo "== resubmission via $other served from store, same bytes"
 
 # The cluster counters are exported under their contract names.
 for n in "${survivors[@]}"; do
-	curl -fsS "${URL[$n]}/metrics" | grep -E '^sgxd_(peer_fetches|steals)_total [0-9]+$'
+	curl -fsS "${URL[$n]}/metrics" | grep -E '^sgxd_peer_fetches_total [0-9]+$'
 	curl -fsS "${URL[$n]}/metrics" | grep -E '^sgxd_cluster_jobs_recovered_total [0-9]+$'
 done
 echo "== cluster metrics present on both survivors"
