@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race perfbench test-race-full chaos cluster-smoke membership-smoke stress-smoke bench bench-json golden drift experiments load
+.PHONY: ci vet build test race perfbench fuzz-access test-race-full chaos cluster-smoke membership-smoke stress-smoke bench bench-json golden drift experiments load
 
 ci: vet build test race perfbench
 
@@ -29,6 +29,16 @@ race:
 # break it while everything above stays green.
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# Access-path fuzzing, 20 s per target: the batched pipeline against the
+# scalar model (FuzzAccessEquivalence), the rank-byte LRU sets against an
+# oldest-stamp scan (FuzzLRUEquivalence), and the EPC page directory against
+# a map-based CLOCK EPC (FuzzEPCEquivalence). Same gate the CI
+# access-path-fuzz job runs; `make drift` stays the byte-identity gate.
+fuzz-access:
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessEquivalence$$' -fuzztime 20s ./internal/machine/
+	$(GO) test -run '^$$' -fuzz '^FuzzLRUEquivalence$$' -fuzztime 20s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzEPCEquivalence$$' -fuzztime 20s ./internal/enclave/
 
 # Full race sweep (slow; run before touching machine/bench concurrency).
 test-race-full:

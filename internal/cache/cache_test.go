@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -66,12 +67,35 @@ func TestFlush(t *testing.T) {
 }
 
 func TestDegenerateConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for non-power-of-two sets")
-		}
-	}()
-	New(Config{Size: 3 * 64, Ways: 1})
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		panic bool
+	}{
+		{"non-power-of-two sets", Config{Size: 3 * LineSize, Ways: 1}, true},
+		{"zero ways", Config{Size: 1 << 10, Ways: 0}, true},
+		{"negative ways", Config{Size: 1 << 10, Ways: -1}, true},
+		{"max ways", Config{Size: maxWays * LineSize, Ways: maxWays}, false},
+		{"above max ways", Config{Size: (maxWays + 1) * LineSize, Ways: maxWays + 1}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if !tc.panic {
+					if r != nil {
+						t.Errorf("New(%+v) panicked: %v", tc.cfg, r)
+					}
+					return
+				}
+				// The package's own message, not a runtime error such as
+				// an integer divide by zero.
+				if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "cache: ") {
+					t.Errorf("New(%+v) recovered %v, want a cache: panic", tc.cfg, r)
+				}
+			}()
+			New(tc.cfg)
+		})
+	}
 }
 
 func TestSharedIsUsable(t *testing.T) {

@@ -35,19 +35,36 @@ type Config struct {
 	EPCBytes uint64
 }
 
+// chunkShift is log2 of the pages in one directory chunk (2 MiB of address
+// space); dirChunks chunks cover the 32-bit address space.
+const (
+	chunkShift = 21 - mem.PageShift
+	chunkPages = 1 << chunkShift
+	dirChunks  = 1 << (32 - 21)
+)
+
+// chunk is the page-directory entry for 2 MiB of address space, allocated
+// on the first touch of any of its pages.
+type chunk struct {
+	slot [chunkPages]int32       // CLOCK ring index + 1 of a resident page, 0 if not resident
+	seen [chunkPages / 64]uint64 // bitmap of pages ever brought into the EPC
+}
+
 // EPC tracks enclave-page residency with a CLOCK (second-chance) eviction
 // policy, which approximates the kernel's page reclaim well enough to
 // reproduce the paper's sequential-vs-random paging behaviour: sequential
 // sweeps evict pages that are never touched again (cheap), while iterative
-// working sets larger than the EPC thrash (expensive).
+// working sets larger than the EPC thrash (expensive). A probe finds its
+// page through a two-level directory, so a resident hit costs two loads and
+// no hashing.
 type EPC struct {
 	mu       sync.Mutex
-	capacity int            // pages
-	resident map[uint32]int // page number -> index in ring
-	ring     []uint32       // CLOCK ring of resident page numbers
+	capacity int      // pages
+	ring     []uint32 // CLOCK ring of resident page numbers
 	refbit   []bool
 	hand     int
-	seen     map[uint32]struct{} // pages ever brought into the EPC
+	dir      [dirChunks]*chunk // page number -> residency and first-touch state
+	touched  int               // pages ever brought into the EPC
 
 	faults    uint64
 	evictions uint64
@@ -70,11 +87,7 @@ func New(cfg Config) *EPC {
 	if pages < 1 {
 		pages = 1
 	}
-	return &EPC{
-		capacity: pages,
-		resident: make(map[uint32]int, pages),
-		seen:     make(map[uint32]struct{}, 4*pages),
-	}
+	return &EPC{capacity: pages}
 }
 
 // Capacity returns the EPC capacity in pages.
@@ -153,7 +166,8 @@ func (e *EPC) TouchRange(addr, n uint32) (warm, cold uint64) {
 // TouchPages records one access to each given page number, in order, under a
 // single lock acquisition, returning warm and cold fault counts as
 // TouchRange does. The batched access pipeline passes the (deduplicated)
-// pages of the cache lines that missed the LLC.
+// pages of the cache lines that missed the LLC. Page numbers are those of
+// the 32-bit address space (addr >> mem.PageShift, below 1<<20).
 func (e *EPC) TouchPages(pns []uint32) (warm, cold uint64) {
 	if len(pns) == 0 {
 		return 0, 0
@@ -198,22 +212,29 @@ func (e *EPC) TouchPagesFunc(pns []uint32, fn func(pn uint32, r TouchResult)) (w
 
 // touchPage is Touch on a page number with e.mu held.
 func (e *EPC) touchPage(pn uint32) TouchResult {
-	if i, ok := e.resident[pn]; ok {
-		e.refbit[i] = true
+	c := e.dir[pn>>chunkShift]
+	if c == nil {
+		c = new(chunk)
+		e.dir[pn>>chunkShift] = c
+	}
+	i := pn & (chunkPages - 1)
+	if s := c.slot[i]; s != 0 {
+		e.refbit[s-1] = true
 		return TouchResult{}
 	}
 	r := TouchResult{Fault: true}
 	e.faults++
 	e.mFaults.Inc()
-	if _, ok := e.seen[pn]; !ok {
-		e.seen[pn] = struct{}{}
+	if bit := uint64(1) << (i & 63); c.seen[i>>6]&bit == 0 {
+		c.seen[i>>6] |= bit
+		e.touched++
 		r.Cold = true
 		e.mColds.Inc()
 	}
 	if len(e.ring) < e.capacity {
-		e.resident[pn] = len(e.ring)
 		e.ring = append(e.ring, pn)
 		e.refbit = append(e.refbit, true)
+		c.slot[i] = int32(len(e.ring))
 		return r
 	}
 	// CLOCK eviction: find a page with a clear reference bit.
@@ -224,13 +245,13 @@ func (e *EPC) touchPage(pn uint32) TouchResult {
 			continue
 		}
 		victim := e.ring[e.hand]
-		delete(e.resident, victim)
+		e.dir[victim>>chunkShift].slot[victim&(chunkPages-1)] = 0
 		e.evictions++
 		e.mEvictions.Inc()
 		r.Evicted, r.Victim = true, victim
 		e.ring[e.hand] = pn
 		e.refbit[e.hand] = true
-		e.resident[pn] = e.hand
+		c.slot[i] = int32(e.hand + 1)
 		e.hand = (e.hand + 1) % e.capacity
 		return r
 	}
@@ -240,7 +261,8 @@ func (e *EPC) touchPage(pn uint32) TouchResult {
 func (e *EPC) Resident(addr uint32) bool {
 	pn := addr >> mem.PageShift
 	e.mu.Lock()
-	_, ok := e.resident[pn]
+	c := e.dir[pn>>chunkShift]
+	ok := c != nil && c.slot[pn&(chunkPages-1)] != 0
 	e.mu.Unlock()
 	return ok
 }
@@ -267,7 +289,7 @@ func (e *EPC) PeakResident() int {
 // EPC — the run's total enclave page footprint, independent of eviction.
 func (e *EPC) TouchedPages() int {
 	e.mu.Lock()
-	n := len(e.seen)
+	n := e.touched
 	e.mu.Unlock()
 	return n
 }

@@ -319,7 +319,8 @@ type Thread struct {
 	// access to either line is a guaranteed L1 hit (private L1, the line's
 	// set untouched in between, so the line is still resident), and skipping
 	// the probe cannot change any future replacement decision: LRU compares
-	// stamps only within one set, and the set received no other stamps since.
+	// ranks only within one set, the set saw no other probe since, and the
+	// line already holds its set's top rank.
 	// Tracking two lines instead of one catches the pervasive
 	// data-line/metadata-line alternation of the hardening policies (shadow
 	// bytes, bounds-table entries, tagged-pointer bounds words).
@@ -491,7 +492,7 @@ func (t *Thread) access(addr uint32, size uint8, write bool) {
 		}
 		if line+1 == t.prevLine {
 			// The line before that, in a different L1 set: also still
-			// resident and stamp-order-safe; it becomes most recent again.
+			// resident and rank-order-safe; it becomes most recent again.
 			t.prevLine = t.lastLine
 			t.lastLine = line + 1
 			t.C.Hits[perf.L1]++
@@ -659,7 +660,7 @@ func (t *Thread) accessRange(first, last uint32, write bool) {
 	}
 	t.missBuf[0] = missL1
 	// The batch probed many sets; only its final line (the last L1 probe) is
-	// still provably resident and stamp-order-safe.
+	// still provably resident and rank-order-safe.
 	t.lastLine = last + 1
 	t.prevLine = 0
 	if tel := t.tel; tel != nil {

@@ -31,6 +31,7 @@
 package stress
 
 import (
+	"encoding/binary"
 	"io"
 
 	"sgxbounds/internal/bench"
@@ -187,19 +188,26 @@ func parallel(c *harden.Ctx, threads int, body func(w *harden.Ctx, i int) uint64
 }
 
 // bulkFill writes n bytes of deterministic pseudo-random data into [p, p+n)
-// as one checked bulk transfer, the way inputs are ingested.
+// as one checked bulk transfer, the way inputs are ingested: one little-endian
+// RNG word per 8 bytes, and zeros in a tail shorter than a word. The data is
+// generated and copied in one page-sized buffer at a time.
 func bulkFill(c *harden.Ctx, p harden.Ptr, n uint32, seed uint64) {
-	r := newRNG(seed)
-	buf := make([]byte, n)
-	for i := 0; i+8 <= len(buf); i += 8 {
-		v := r.next()
-		for b := 0; b < 8; b++ {
-			buf[i+b] = byte(v >> (8 * b))
-		}
-	}
 	c.P.CheckRange(c.T, p, n, harden.Write)
 	c.T.Touch(p.Addr(), n, true)
-	c.P.Env().M.AS.WriteBytes(p.Addr(), buf)
+	as := c.P.Env().M.AS
+	r := newRNG(seed)
+	var buf [mem.PageSize]byte
+	for addr, left := p.Addr(), n; left > 0; {
+		chunk := buf[:min(left, mem.PageSize)]
+		i := 0
+		for ; i+8 <= len(chunk); i += 8 {
+			binary.LittleEndian.PutUint64(chunk[i:], r.next())
+		}
+		clear(chunk[i:])
+		as.WriteBytes(addr, chunk)
+		addr += uint32(len(chunk))
+		left -= uint32(len(chunk))
+	}
 }
 
 // emitCSV renders one grid through the sink, if any (the same contract as
