@@ -1,9 +1,8 @@
 # Tier-1 gate: everything `make ci` runs must stay green on every change.
 # It is what CI and reviewers run; `go build ./... && go test ./...` is the
-# historical minimum, plus vet, a short race pass over the packages with
-# real host concurrency (the bench engine's worker pool, the simulated
-# machine it fans cells over, and the sgxd job queue/store), and the
-# perfbench module, which root `./...` never builds.
+# historical minimum, plus vet and a gofmt check, a short race pass (the
+# bench engine's worker pool over per-cell machines, and the sgxd job
+# queue/store), and the perfbench module, which root `./...` never builds.
 
 GO ?= go
 
@@ -11,8 +10,12 @@ GO ?= go
 
 ci: vet build test race perfbench
 
+# gofmt runs over tracked files only, so a local .bench_build/ is never
+# scanned.
 vet:
 	$(GO) vet ./...
+	@files=$$(git ls-files '*.go') && unformatted=$$(gofmt -l $$files) && \
+	  if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -20,7 +23,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Short race pass: the packages where goroutines actually meet shared state.
+# Short race pass. In serve/... and cluster, goroutines meet shared state
+# under locks. The simulator packages take no host locks: a machine and
+# everything built on it belong to one goroutine (DESIGN.md §5), so here
+# the race detector checks that the engine's concurrent cells, each on its
+# own machine, share nothing (bench's TestEngineMatchesSerialRun, machine's
+# TestConcurrentMachinesShareNothing).
 race:
 	$(GO) test -race -short ./internal/bench/ ./internal/machine/ ./internal/mem/ ./internal/harden/ ./internal/core/ ./internal/serve/... ./internal/cluster/
 

@@ -17,7 +17,6 @@ package alloc
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"sgxbounds/internal/machine"
 	"sgxbounds/internal/mem"
@@ -48,11 +47,11 @@ var ErrBadFree = errors.New("alloc: free of invalid or already-freed object")
 const numClasses = 256 // multiples of 16 up to 4096
 
 // Heap is a segregated free-list allocator over the machine's heap region.
-// It is safe for concurrent use by multiple simulated threads.
+// Like the machine, it belongs to one goroutine; the simulated threads that
+// share it run in turn.
 type Heap struct {
 	m *machine.Machine
 
-	mu       sync.Mutex
 	brk      uint32               // next unallocated byte in the small-object region
 	reserved uint32               // top of the reserved portion of the region
 	free     [numClasses][]uint32 // free block addresses (header address)
@@ -91,7 +90,6 @@ func (h *Heap) Alloc(t *machine.Thread, size uint32) (uint32, error) {
 	class := classFor(size)
 	block := classSize(class)
 
-	h.mu.Lock()
 	var hdr uint32
 	if list := h.free[class]; len(list) > 0 {
 		hdr = list[len(list)-1]
@@ -101,11 +99,9 @@ func (h *Heap) Alloc(t *machine.Thread, size uint32) (uint32, error) {
 		aligned := (h.brk + 7) &^ 7
 		for aligned+need > h.reserved {
 			if h.reserved+growChunk > machine.HeapTop {
-				h.mu.Unlock()
 				return 0, machine.ErrOutOfMemory
 			}
 			if err := h.m.TryReserve(growChunk); err != nil {
-				h.mu.Unlock()
 				return 0, err
 			}
 			h.reserved += growChunk
@@ -115,10 +111,7 @@ func (h *Heap) Alloc(t *machine.Thread, size uint32) (uint32, error) {
 	}
 	h.liveObjects++
 	h.liveBytes += uint64(block)
-	if h.liveBytes > h.peakBytes {
-		h.peakBytes = h.liveBytes
-	}
-	h.mu.Unlock()
+	h.peakBytes = max(h.peakBytes, h.liveBytes)
 
 	t.Store(hdr, 4, uint64(size))
 	t.Store(hdr+4, 4, TagLive)
@@ -132,14 +125,10 @@ func (h *Heap) allocLarge(t *machine.Thread, size uint32) (uint32, error) {
 		return 0, err
 	}
 	payload := base + HeaderSize
-	h.mu.Lock()
 	h.large[payload] = mapped
 	h.liveObjects++
 	h.liveBytes += uint64(mapped)
-	if h.liveBytes > h.peakBytes {
-		h.peakBytes = h.liveBytes
-	}
-	h.mu.Unlock()
+	h.peakBytes = max(h.peakBytes, h.liveBytes)
 	t.Store(base, 4, uint64(size))
 	t.Store(base+4, 4, TagLive)
 	return payload, nil
@@ -172,12 +161,10 @@ func (h *Heap) Free(t *machine.Thread, payload uint32) error {
 	}
 	t.Store(hdr+4, 4, TagFree)
 
-	h.mu.Lock()
 	if mapped, ok := h.large[payload]; ok {
 		delete(h.large, payload)
 		h.liveObjects--
 		h.liveBytes -= uint64(mapped)
-		h.mu.Unlock()
 		h.m.Munmap(hdr, mapped)
 		return nil
 	}
@@ -185,27 +172,20 @@ func (h *Heap) Free(t *machine.Thread, payload uint32) error {
 	h.free[class] = append(h.free[class], hdr)
 	h.liveObjects--
 	h.liveBytes -= uint64(classSize(class))
-	h.mu.Unlock()
 	return nil
 }
 
 // LiveObjects returns the number of live objects.
 func (h *Heap) LiveObjects() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.liveObjects
 }
 
 // LiveBytes returns the bytes currently allocated (block-rounded).
 func (h *Heap) LiveBytes() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.liveBytes
 }
 
 // PeakBytes returns the high-water mark of allocated bytes.
 func (h *Heap) PeakBytes() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.peakBytes
 }

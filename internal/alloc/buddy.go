@@ -9,7 +9,6 @@ package alloc
 
 import (
 	"fmt"
-	"sync"
 
 	"sgxbounds/internal/machine"
 )
@@ -25,7 +24,6 @@ const BuddyMaxShift = 24
 // invariant Baggy Bounds checks rely on.
 type Buddy struct {
 	m          *machine.Machine
-	mu         sync.Mutex
 	base       uint32
 	size       uint32
 	arenaShift uint8
@@ -80,8 +78,6 @@ func (b *Buddy) Alloc(t *machine.Thread, size uint32) (uint32, uint8, error) {
 	t.C.Allocs++
 	t.Instr(25)
 
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	// Find the smallest order with a free block.
 	o := order
 	for int(o) < len(b.free) && len(b.free[o]) == 0 {
@@ -100,9 +96,7 @@ func (b *Buddy) Alloc(t *machine.Thread, size uint32) (uint32, uint8, error) {
 	}
 	b.live[addr] = order
 	b.liveBytes += uint64(uint32(1) << order)
-	if b.liveBytes > b.peakBytes {
-		b.peakBytes = b.liveBytes
-	}
+	b.peakBytes = max(b.peakBytes, b.liveBytes)
 	return addr, order, nil
 }
 
@@ -110,8 +104,6 @@ func (b *Buddy) Alloc(t *machine.Thread, size uint32) (uint32, uint8, error) {
 func (b *Buddy) Free(t *machine.Thread, addr uint32) error {
 	t.C.Frees++
 	t.Instr(20)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	order, ok := b.live[addr]
 	if !ok {
 		return fmt.Errorf("%w: addr %#x", ErrBadFree, addr)
@@ -145,22 +137,16 @@ func (b *Buddy) Free(t *machine.Thread, addr uint32) error {
 
 // OrderOf returns the order of a live block, for bounds derivation.
 func (b *Buddy) OrderOf(addr uint32) (uint8, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	o, ok := b.live[addr]
 	return o, ok
 }
 
 // LiveBytes returns the block-rounded live byte count (includes slack).
 func (b *Buddy) LiveBytes() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.liveBytes
 }
 
 // PeakBytes returns the high-water mark of block-rounded live bytes.
 func (b *Buddy) PeakBytes() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.peakBytes
 }

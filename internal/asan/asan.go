@@ -18,8 +18,6 @@
 package asan
 
 import (
-	"sync"
-
 	"sgxbounds/internal/alloc"
 	"sgxbounds/internal/harden"
 	"sgxbounds/internal/machine"
@@ -54,7 +52,6 @@ type Policy struct {
 	shadowBase uint32
 	quarCap    uint64
 
-	mu        sync.Mutex
 	quar      []quarObj
 	quarBytes uint64
 }
@@ -213,18 +210,12 @@ func (pl *Policy) Free(t *machine.Thread, p harden.Ptr) {
 		return
 	}
 	pl.env.Heap.SetTag(t, base, alloc.TagQuarantine)
-	pl.mu.Lock()
 	pl.quar = append(pl.quar, quarObj{payload: base, size: size})
 	pl.quarBytes += uint64(size + 2*RedzoneSize)
-	var drain []quarObj
 	for pl.quarBytes > pl.quarCap && len(pl.quar) > 0 {
 		o := pl.quar[0]
 		pl.quar = pl.quar[1:]
 		pl.quarBytes -= uint64(o.size + 2*RedzoneSize)
-		drain = append(drain, o)
-	}
-	pl.mu.Unlock()
-	for _, o := range drain {
 		_ = pl.env.Heap.Free(t, o.payload)
 	}
 }
@@ -338,8 +329,6 @@ func (pl *Policy) memsetRaw(t *machine.Thread, addr uint32, b byte, n uint32) {
 
 // QuarantineBytes returns the current quarantine occupancy.
 func (pl *Policy) QuarantineBytes() uint64 {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
 	return pl.quarBytes
 }
 

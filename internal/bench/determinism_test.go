@@ -12,11 +12,15 @@ import (
 // detSpecs is a small grid that exercises the properties determinism
 // depends on: multithreaded workloads (fixed worker interleaving on the
 // shared LLC/EPC), every headline policy, and a crashing configuration.
+// The baggy cell adds the buddy allocator, so under -race the engine test
+// below drives both heap allocators and five policies on concurrent
+// machines.
 var detSpecs = []Spec{
 	{Workload: "kmeans", Policy: "sgxbounds", Size: workloads.S, Threads: 4},
 	{Workload: "histogram", Policy: "sgx", Size: workloads.XS, Threads: 2},
 	{Workload: "wordcount", Policy: "mpx", Size: workloads.XS, Threads: 1},
 	{Workload: "swaptions", Policy: "asan", Size: workloads.XS, Threads: 1},
+	{Workload: "wordcount", Policy: "baggy", Size: workloads.XS, Threads: 2},
 }
 
 // TestRunDeterministic: the same Spec run twice yields bit-identical
@@ -41,7 +45,10 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 // TestEngineMatchesSerialRun: every cell an engine returns — at any worker
-// count, cached or not — is bit-identical to a direct serial Run.
+// count, cached or not — is bit-identical to a direct serial Run. At 4 and
+// 16 workers the cells run concurrently, each on its own machine; under
+// -race (make race) this is the guard for the single-owner machine
+// contract (DESIGN.md §5).
 func TestEngineMatchesSerialRun(t *testing.T) {
 	want := make([]Result, len(detSpecs))
 	for i, spec := range detSpecs {

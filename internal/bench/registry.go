@@ -105,7 +105,7 @@ var Experiments = []Experiment{
 	},
 	{
 		Name: "fig2", Desc: "Figure 2: memory hierarchy and relative access costs (the cost model)",
-		Run:  func(e *Engine, w io.Writer, opts RunOpts) error { Fig2(w); return nil },
+		Run: func(e *Engine, w io.Writer, opts RunOpts) error { Fig2(w); return nil },
 	},
 	{
 		Name: "fig7", Desc: "Figure 7: Phoenix+PARSEC performance and memory overheads", UsesThreads: true,
@@ -123,7 +123,7 @@ var Experiments = []Experiment{
 	},
 	{
 		Name: "fig9", Desc: "Figure 9: AddressSanitizer vs SGXBounds with 1 and 4 threads",
-		Run:  func(e *Engine, w io.Writer, opts RunOpts) error { e.Fig9(w); return nil },
+		Run: func(e *Engine, w io.Writer, opts RunOpts) error { e.Fig9(w); return nil },
 	},
 	{
 		Name: "fig10", Desc: "Figure 10: SGXBounds optimisation ablation", UsesThreads: true,
@@ -145,11 +145,11 @@ var Experiments = []Experiment{
 	},
 	{
 		Name: "fig13", Desc: "Figure 13: Memcached/Apache/Nginx throughput, latency and memory", UsesRequests: true,
-		Run:  func(e *Engine, w io.Writer, opts RunOpts) error { e.Fig13(w, opts.requests()); return nil },
+		Run: func(e *Engine, w io.Writer, opts RunOpts) error { e.Fig13(w, opts.requests()); return nil },
 	},
 	{
 		Name: "table4", Desc: "Table 4: RIPE security benchmark",
-		Run:  func(e *Engine, w io.Writer, opts RunOpts) error { e.Table4(w); return nil },
+		Run: func(e *Engine, w io.Writer, opts RunOpts) error { e.Table4(w); return nil },
 	},
 	{
 		Name: "grid", Desc: "custom cell grid: chosen workloads x policies at one size", UsesThreads: true, UsesGrid: true, UsesEPC: true, Custom: true,

@@ -19,16 +19,13 @@
 //     there needs neither the tag scan nor a rank update (that way already
 //     holds the top rank);
 //   - range and batch entry points (AccessRange, AccessLines) that walk
-//     cache lines with a stride instead of re-entering per line, letting the
-//     shared LLC take its lock once per batch instead of once per line.
+//     cache lines with a stride, so the batched access pipeline pushes a
+//     whole run of lines through one level in a single call.
 package cache
 
 import (
 	"math/bits"
 	"slices"
-	"sync"
-
-	"sgxbounds/internal/telemetry"
 )
 
 // LineShift is log2 of the cache line size.
@@ -58,8 +55,9 @@ const (
 )
 
 // Cache is a single-level set-associative cache with per-set LRU
-// replacement. It is NOT safe for concurrent use; private levels belong to
-// one thread, and the shared level is wrapped by Shared.
+// replacement. Like the machine it belongs to, a Cache is owned by one
+// goroutine; the private levels serve one simulated thread, and the LLC is
+// shared by the machine's threads, which run in turn.
 //
 // Each set keeps its tags contiguously and its LRU order as one rank byte
 // per way, eight to a uint64 word: the most recently used way has rank
@@ -215,81 +213,4 @@ func (c *Cache) Flush() {
 	clear(c.tags)
 	clear(c.ranks)
 	clear(c.mru)
-}
-
-// Shared wraps a Cache with a mutex so multiple simulated threads can share
-// it, modelling the shared LLC.
-type Shared struct {
-	mu sync.Mutex
-	c  *Cache
-
-	// Pre-resolved telemetry counters (nil when telemetry is disabled; both
-	// are nil-safe, so publishing costs one predictable branch per LLC
-	// probe — and LLC probes are already behind an L1 and an L2 miss).
-	mAccesses *telemetry.Counter
-	mMisses   *telemetry.Counter
-}
-
-// NewShared builds a shared cache from cfg.
-func NewShared(cfg Config) *Shared { return &Shared{c: New(cfg)} }
-
-// Instrument attaches pre-resolved telemetry counters for accesses and
-// misses. Nil handles disable the metric; Instrument must be called before
-// the cache sees traffic.
-func (s *Shared) Instrument(accesses, misses *telemetry.Counter) {
-	s.mAccesses, s.mMisses = accesses, misses
-}
-
-// Access is the thread-safe variant of Cache.Access.
-func (s *Shared) Access(addr uint32) bool {
-	return s.AccessLine(addr >> LineShift)
-}
-
-// AccessLine is the thread-safe variant of Cache.AccessLine.
-func (s *Shared) AccessLine(line uint32) bool {
-	s.mu.Lock()
-	hit := s.c.AccessLine(line)
-	s.mu.Unlock()
-	if s.mAccesses != nil {
-		s.noteProbe(hit)
-	}
-	return hit
-}
-
-// noteProbe publishes one LLC probe. Out of line so the uninstrumented
-// AccessLine body stays at its pre-telemetry size.
-//
-//go:noinline
-func (s *Shared) noteProbe(hit bool) {
-	s.mAccesses.Inc()
-	if !hit {
-		s.mMisses.Inc()
-	}
-}
-
-// AccessLines is the thread-safe variant of Cache.AccessLines; the whole
-// batch runs under one lock acquisition.
-func (s *Shared) AccessLines(lines []uint32, miss []uint32) []uint32 {
-	n := len(miss)
-	s.mu.Lock()
-	miss = s.c.AccessLines(lines, miss)
-	s.mu.Unlock()
-	s.mAccesses.Add(uint64(len(lines)))
-	s.mMisses.Add(uint64(len(miss) - n))
-	return miss
-}
-
-// Contains is the thread-safe variant of Cache.Contains.
-func (s *Shared) Contains(addr uint32) bool {
-	s.mu.Lock()
-	ok := s.c.Contains(addr)
-	s.mu.Unlock()
-	return ok
-}
-
-// Flush invalidates the shared cache.
-func (s *Shared) Flush() {
-	s.mu.Lock()
-	s.c.Flush()
-	s.mu.Unlock()
 }

@@ -98,20 +98,6 @@ func TestDegenerateConfigPanics(t *testing.T) {
 	}
 }
 
-func TestSharedIsUsable(t *testing.T) {
-	s := NewShared(testConfig())
-	if s.Access(0x40) {
-		t.Error("cold shared cache hit")
-	}
-	if !s.Access(0x40) {
-		t.Error("warm shared cache missed")
-	}
-	s.Flush()
-	if s.Contains(0x40) {
-		t.Error("shared flush ineffective")
-	}
-}
-
 // Property: immediately after Access(addr), Contains(addr) is always true —
 // an access always leaves the line resident.
 func TestQuickAccessLeavesResident(t *testing.T) {

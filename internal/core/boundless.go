@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"sgxbounds/internal/cache"
 	"sgxbounds/internal/harden"
 	"sgxbounds/internal/machine"
@@ -17,7 +15,8 @@ const ChunkSize = 1024
 // exhaust enclave memory.
 const DefaultBoundlessCap = 1 << 20
 
-// lockCost approximates the instruction cost of taking the global lock.
+// lockCost approximates the instruction cost of taking the overlay's global
+// lock. The lock is simulated: every operation pays for it in cycles.
 const lockCost = 20
 
 // Boundless implements boundless memory blocks (§4.2): a bounded
@@ -26,13 +25,12 @@ const lockCost = 20
 // on demand, LRU-evicted at capacity); out-of-bounds loads read the overlay
 // or, on a miss, fall back to failure-oblivious zeros.
 //
-// All operations take one global lock, mirroring the paper's uthash-based
-// implementation: slow, but on the (supposedly rare) out-of-bounds slow
-// path.
+// Every operation pays for one global lock (lockCost), mirroring the
+// paper's uthash-based implementation: slow, but on the (supposedly rare)
+// out-of-bounds slow path.
 type Boundless struct {
 	m *machine.Machine
 
-	mu     sync.Mutex
 	base   uint32         // overlay arena base (MetaAlloc'd lazily)
 	nslots int            // capacity in chunks
 	slots  map[uint32]int // chunk key (addr >> 10) -> slot index
@@ -61,12 +59,10 @@ func NewBoundless(m *machine.Machine, capBytes uint32) *Boundless {
 
 // Stats returns (hits, misses, evictions) of the overlay cache.
 func (b *Boundless) Stats() (hits, misses, evicted uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.hits, b.misses, b.evicted
 }
 
-// arena lazily maps the overlay memory. Called with b.mu held.
+// arena lazily maps the overlay memory.
 func (b *Boundless) arena() uint32 {
 	if b.base == 0 {
 		b.base = harden.MustAlloc(b.m.MetaAlloc(uint32(b.nslots) * ChunkSize))
@@ -76,7 +72,7 @@ func (b *Boundless) arena() uint32 {
 
 // lookup finds the overlay address for the chunk covering addr. With
 // create, a missing chunk is allocated (evicting the LRU chunk at
-// capacity); otherwise a miss returns ok=false. Called with b.mu held.
+// capacity); otherwise a miss returns ok=false.
 func (b *Boundless) lookup(t *machine.Thread, addr uint32, create bool) (uint32, bool) {
 	return b.lookupRun(t, addr, 1, create)
 }
@@ -86,7 +82,7 @@ func (b *Boundless) lookup(t *machine.Thread, addr uint32, create bool) (uint32,
 // run's first byte performs the real probe, and the remaining k-1 bytes hit
 // the chunk it just resolved (or miss the same absent chunk when create is
 // false — the simulated program still paid k hash probes either way, so the
-// LRU clock always advances by k). Called with b.mu held.
+// LRU clock always advances by k).
 func (b *Boundless) lookupRun(t *machine.Thread, addr, k uint32, create bool) (uint32, bool) {
 	key := addr >> 10
 	b.clock += uint64(k)
@@ -154,8 +150,6 @@ func runs(addr, n uint32, fn func(off, k uint32)) {
 // miss (failure-oblivious computing).
 func (b *Boundless) Load(t *machine.Thread, addr uint32, size uint8) uint64 {
 	t.Instr(lockCost)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var buf [8]byte // chunks are 1 KB; accesses may straddle
 	runs(addr, uint32(size), func(off, k uint32) {
 		if ov, ok := b.lookupRun(t, addr+off, k, false); ok {
@@ -173,8 +167,6 @@ func (b *Boundless) Load(t *machine.Thread, addr uint32, size uint8) uint64 {
 // Store redirects an out-of-bounds store into the overlay.
 func (b *Boundless) Store(t *machine.Thread, addr uint32, size uint8, v uint64) {
 	t.Instr(lockCost)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	var buf [8]byte
 	for i := uint8(0); i < size; i++ {
 		buf[i] = byte(v >> (8 * i))
@@ -193,8 +185,6 @@ func (b *Boundless) ReadBytes(t *machine.Thread, addr uint32, dst []byte) {
 		return
 	}
 	t.Instr(lockCost)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	runs(addr, uint32(len(dst)), func(off, k uint32) {
 		if ov, ok := b.lookupRun(t, addr+off, k, false); ok {
 			touchRun(t, ov, k, false)
@@ -211,8 +201,6 @@ func (b *Boundless) WriteBytes(t *machine.Thread, addr uint32, src []byte) {
 		return
 	}
 	t.Instr(lockCost)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	runs(addr, uint32(len(src)), func(off, k uint32) {
 		ov, _ := b.lookupRun(t, addr+off, k, true)
 		touchRun(t, ov, k, true)
@@ -226,8 +214,6 @@ func (b *Boundless) SetBytes(t *machine.Thread, addr uint32, c byte, n uint32) {
 		return
 	}
 	t.Instr(lockCost)
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	runs(addr, n, func(off, k uint32) {
 		ov, _ := b.lookupRun(t, addr+off, k, true)
 		touchRun(t, ov, k, true)

@@ -332,10 +332,13 @@ func TestAtomicAccessesAreChecked(t *testing.T) {
 	}
 }
 
-// TestTaggedPointerAtomicSpillNeverTears: the §4.1 claim, exercised hard —
-// concurrent tagged-pointer spills to one slot always yield a pointer whose
-// address and bounds belong to the same object, because both live in the
-// one 64-bit word. (Contrast mpx.TestMultithreadTornBounds.)
+// TestTaggedPointerAtomicSpillNeverTears: the §4.1 claim — tagged-pointer
+// spills by several simulated threads to one slot always reload as a
+// pointer whose address and bounds belong to the same object, because both
+// live in the one 64-bit word. Parallel runs its workers in turn, so this
+// checks that every reload is consistent; it does not exercise a live race.
+// (Contrast mpx.TestMultithreadTornBounds, where MPX's
+// disjoint bounds tear.)
 func TestTaggedPointerAtomicSpillNeverTears(t *testing.T) {
 	pl, c := newPolicy(t, AllOptimizations())
 	env := pl.Env()
@@ -365,9 +368,9 @@ func TestTaggedPointerAtomicSpillNeverTears(t *testing.T) {
 	})
 }
 
-// TestBoundlessConcurrentOverflows: the overlay's global lock must keep
-// concurrent tolerated overflows consistent (each thread reads back its own
-// distinct overlay chunk).
+// TestBoundlessConcurrentOverflows: tolerated overflows from several
+// simulated threads stay consistent in the shared overlay (each thread
+// reads back its own distinct overlay chunk).
 func TestBoundlessConcurrentOverflows(t *testing.T) {
 	pl, c := newPolicy(t, Options{Boundless: true})
 	env := pl.Env()

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"sgxbounds/internal/harden"
 	"sgxbounds/internal/machine"
 )
@@ -25,28 +23,6 @@ import (
 // space" route the paper describes. The bounds check consults the field
 // table before falling back to the in-memory lower-bound word.
 
-// fieldBounds is the extended metadata space for narrowed bounds.
-type fieldBounds struct {
-	mu sync.RWMutex
-	lb map[uint32]uint32 // field upper bound -> field lower bound
-}
-
-func (f *fieldBounds) set(ub, lb uint32) {
-	f.mu.Lock()
-	if f.lb == nil {
-		f.lb = make(map[uint32]uint32)
-	}
-	f.lb[ub] = lb
-	f.mu.Unlock()
-}
-
-func (f *fieldBounds) get(ub uint32) (uint32, bool) {
-	f.mu.RLock()
-	lb, ok := f.lb[ub]
-	f.mu.RUnlock()
-	return lb, ok
-}
-
 // Narrow returns a pointer to the struct field [off, off+size) within the
 // object p refers to, carrying the *field's* bounds: subsequent accesses
 // through the returned pointer are confined to the field, so in-struct
@@ -68,9 +44,11 @@ func (pl *Policy) Narrow(t *machine.Thread, p harden.Ptr, off int64, size uint32
 	}
 	fub := addr + size
 	t.Instr(4)
-	pl.narrowUsed.Store(true)
-	if _, exists := pl.fields.get(fub); !exists {
-		pl.fields.set(fub, addr)
+	if pl.fields == nil {
+		pl.fields = make(map[uint32]uint32)
+	}
+	if _, exists := pl.fields[fub]; !exists {
+		pl.fields[fub] = addr
 	}
 	return Tag(addr, fub)
 }
@@ -79,5 +57,6 @@ func (pl *Policy) Narrow(t *machine.Thread, p harden.Ptr, off int64, size uint32
 // metadata space. ok is false when ub is not a narrowed bound.
 func (pl *Policy) fieldLB(t *machine.Thread, ub uint32) (uint32, bool) {
 	t.Instr(2)
-	return pl.fields.get(ub)
+	lb, ok := pl.fields[ub]
+	return lb, ok
 }

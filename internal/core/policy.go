@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"sgxbounds/internal/harden"
 	"sgxbounds/internal/machine"
 )
@@ -45,8 +43,9 @@ type Policy struct {
 	opts Options
 	bl   *Boundless // nil unless Options.Boundless
 
-	fields     fieldBounds // extended metadata space for narrowed bounds (§8)
-	narrowUsed atomic.Bool // fast-path guard: skip field lookups until Narrow is used
+	// fields is the extended metadata space for narrowed bounds (§8):
+	// field upper bound -> field lower bound, nil until the first Narrow.
+	fields map[uint32]uint32
 }
 
 // New builds a SGXBounds policy over env.
@@ -314,10 +313,10 @@ func (pl *Policy) boundsOf(t *machine.Thread, p harden.Ptr) (addr, lb, ub uint32
 }
 
 // narrowedLB consults the field-bounds table when narrowing is in use.
-// While no pointer has ever been narrowed, this is a single predicted
-// branch, leaving the §3.2 fast path untouched.
+// While no pointer has ever been narrowed (a nil table), this is a single
+// predicted branch, leaving the §3.2 fast path untouched.
 func (pl *Policy) narrowedLB(t *machine.Thread, ub uint32) (uint32, bool) {
-	if !pl.narrowUsed.Load() {
+	if pl.fields == nil {
 		return 0, false
 	}
 	return pl.fieldLB(t, ub)

@@ -16,8 +16,6 @@
 package enclave
 
 import (
-	"sync"
-
 	"sgxbounds/internal/mem"
 	"sgxbounds/internal/telemetry"
 )
@@ -56,9 +54,8 @@ type chunk struct {
 // sweeps evict pages that are never touched again (cheap), while iterative
 // working sets larger than the EPC thrash (expensive). A probe finds its
 // page through a two-level directory, so a resident hit costs two loads and
-// no hashing.
+// no hashing. An EPC belongs to the goroutine that runs its machine.
 type EPC struct {
-	mu       sync.Mutex
 	capacity int      // pages
 	ring     []uint32 // CLOCK ring of resident page numbers
 	refbit   []bool
@@ -118,9 +115,7 @@ type TouchResult struct {
 // — and are far cheaper than paging back an evicted page, which must be
 // fetched from untrusted memory, decrypted and verified.
 func (e *EPC) Touch(addr uint32) (fault, cold bool) {
-	e.mu.Lock()
 	r := e.touchPage(addr >> mem.PageShift)
-	e.mu.Unlock()
 	return r.Fault, r.Cold
 }
 
@@ -128,25 +123,20 @@ func (e *EPC) Touch(addr uint32) (fault, cold bool) {
 // for the traced access path. EPC state and counters evolve exactly as
 // under Touch.
 func (e *EPC) TouchInfo(addr uint32) TouchResult {
-	e.mu.Lock()
-	r := e.touchPage(addr >> mem.PageShift)
-	e.mu.Unlock()
-	return r
+	return e.touchPage(addr >> mem.PageShift)
 }
 
-// TouchRange records one access to every page overlapping [addr, addr+n),
-// under a single lock acquisition, and returns how many of those pages
-// faulted: warm counts pages paged back in from untrusted memory (the
-// expensive eviction/decryption path), cold counts compulsory EAUG faults.
-// Bulk operations use it to fault at most once per page instead of probing
-// the EPC once per cache line.
+// TouchRange records one access to every page overlapping [addr, addr+n)
+// and returns how many of those pages faulted: warm counts pages paged back
+// in from untrusted memory (the expensive eviction/decryption path), cold
+// counts compulsory EAUG faults. Bulk operations use it to fault at most
+// once per page instead of probing the EPC once per cache line.
 func (e *EPC) TouchRange(addr, n uint32) (warm, cold uint64) {
 	if n == 0 {
 		return 0, 0
 	}
 	first := addr >> mem.PageShift
 	last := (addr + n - 1) >> mem.PageShift
-	e.mu.Lock()
 	for pn := first; ; pn++ {
 		if r := e.touchPage(pn); r.Fault {
 			if r.Cold {
@@ -159,20 +149,15 @@ func (e *EPC) TouchRange(addr, n uint32) (warm, cold uint64) {
 			break
 		}
 	}
-	e.mu.Unlock()
 	return warm, cold
 }
 
-// TouchPages records one access to each given page number, in order, under a
-// single lock acquisition, returning warm and cold fault counts as
-// TouchRange does. The batched access pipeline passes the (deduplicated)
-// pages of the cache lines that missed the LLC. Page numbers are those of
-// the 32-bit address space (addr >> mem.PageShift, below 1<<20).
+// TouchPages records one access to each given page number, in order,
+// returning warm and cold fault counts as TouchRange does. The batched
+// access pipeline passes the (deduplicated) pages of the cache lines that
+// missed the LLC. Page numbers are those of the 32-bit address space
+// (addr >> mem.PageShift, below 1<<20).
 func (e *EPC) TouchPages(pns []uint32) (warm, cold uint64) {
-	if len(pns) == 0 {
-		return 0, 0
-	}
-	e.mu.Lock()
 	for _, pn := range pns {
 		if r := e.touchPage(pn); r.Fault {
 			if r.Cold {
@@ -182,20 +167,15 @@ func (e *EPC) TouchPages(pns []uint32) (warm, cold uint64) {
 			}
 		}
 	}
-	e.mu.Unlock()
 	return warm, cold
 }
 
-// TouchPagesFunc is TouchPages with a per-fault callback: fn runs (with
-// e.mu held, so it must not reenter the EPC) for every faulting page, in
-// probe order, receiving the page number and the full probe detail. The
-// traced access path uses it to emit fault and eviction events while
-// keeping EPC state and fault counts bit-identical to TouchPages.
+// TouchPagesFunc is TouchPages with a per-fault callback: fn runs for every
+// faulting page, in probe order, receiving the page number and the full
+// probe detail. The traced access path uses it to emit fault and eviction
+// events while keeping EPC state and fault counts bit-identical to
+// TouchPages.
 func (e *EPC) TouchPagesFunc(pns []uint32, fn func(pn uint32, r TouchResult)) (warm, cold uint64) {
-	if len(pns) == 0 {
-		return 0, 0
-	}
-	e.mu.Lock()
 	for _, pn := range pns {
 		if r := e.touchPage(pn); r.Fault {
 			if r.Cold {
@@ -206,11 +186,10 @@ func (e *EPC) TouchPagesFunc(pns []uint32, fn func(pn uint32, r TouchResult)) (w
 			fn(pn, r)
 		}
 	}
-	e.mu.Unlock()
 	return warm, cold
 }
 
-// touchPage is Touch on a page number with e.mu held.
+// touchPage is Touch on a page number.
 func (e *EPC) touchPage(pn uint32) TouchResult {
 	c := e.dir[pn>>chunkShift]
 	if c == nil {
@@ -260,52 +239,34 @@ func (e *EPC) touchPage(pn uint32) TouchResult {
 // Resident reports whether the page containing addr is EPC-resident.
 func (e *EPC) Resident(addr uint32) bool {
 	pn := addr >> mem.PageShift
-	e.mu.Lock()
 	c := e.dir[pn>>chunkShift]
-	ok := c != nil && c.slot[pn&(chunkPages-1)] != 0
-	e.mu.Unlock()
-	return ok
+	return c != nil && c.slot[pn&(chunkPages-1)] != 0
 }
 
 // ResidentPages returns the number of EPC-resident pages.
 func (e *EPC) ResidentPages() int {
-	e.mu.Lock()
-	n := len(e.ring)
-	e.mu.Unlock()
-	return n
+	return len(e.ring)
 }
 
 // PeakResident returns the resident-page high-water mark. The CLOCK ring
 // only ever grows (evictions replace a slot in place), so its length is the
 // largest resident count the run has reached.
 func (e *EPC) PeakResident() int {
-	e.mu.Lock()
-	n := len(e.ring)
-	e.mu.Unlock()
-	return n
+	return len(e.ring)
 }
 
 // TouchedPages returns the number of distinct pages ever brought into the
 // EPC — the run's total enclave page footprint, independent of eviction.
 func (e *EPC) TouchedPages() int {
-	e.mu.Lock()
-	n := e.touched
-	e.mu.Unlock()
-	return n
+	return e.touched
 }
 
 // Faults returns the cumulative number of EPC page faults.
 func (e *EPC) Faults() uint64 {
-	e.mu.Lock()
-	f := e.faults
-	e.mu.Unlock()
-	return f
+	return e.faults
 }
 
 // Evictions returns the cumulative number of EPC evictions.
 func (e *EPC) Evictions() uint64 {
-	e.mu.Lock()
-	v := e.evictions
-	e.mu.Unlock()
-	return v
+	return e.evictions
 }

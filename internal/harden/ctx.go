@@ -116,7 +116,8 @@ func (f *Frame) Pop() {
 // AtomicAddAt performs a checked atomic fetch-and-add of an 8-byte word at
 // p+off, returning the new value. The paper's instrumentation covers
 // "loads, stores, and atomic operations" (§3.2) uniformly: the bounds
-// check is the same; the machine's bus lock provides the atomicity.
+// check is the same; Machine.Atomically charges the lock prefix, and the
+// machine's threads run in turn, so no other access lands in between.
 func (c *Ctx) AtomicAddAt(p Ptr, off int64, delta uint64) uint64 {
 	q := c.P.Add(c.T, p, off)
 	var v uint64

@@ -2,18 +2,16 @@ package machine
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"sgxbounds/internal/mem"
 )
 
-// TestConcurrentReservationAccounting hammers every path that reserves or
-// releases virtual memory from many goroutines at once and checks that the
-// books balance exactly afterwards. Munmap must release under m.mu — a
-// release racing the check-then-reserve in TryReserve could otherwise let
-// the budget check read a stale total. Run under -race (make ci does).
-func TestConcurrentReservationAccounting(t *testing.T) {
+// TestReservationAccounting runs every path that reserves or releases
+// virtual memory — transient mappings, globals, metadata and thread stacks,
+// in the mix eight simulated workers would issue — and checks that the
+// books balance exactly afterwards and stay within the budget.
+func TestReservationAccounting(t *testing.T) {
 	m := New(DefaultConfig())
 	base := m.AS.Reserved() // nothing reserved yet
 	if base != 0 {
@@ -26,40 +24,34 @@ func TestConcurrentReservationAccounting(t *testing.T) {
 		iters = 100
 	}
 
-	var globals, metas, threads atomic.Uint64
-	var wg sync.WaitGroup
+	var globals, metas, threads uint64
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				// Transient mapping: reserve then fully release.
-				if p, err := m.Mmap(3 * mem.PageSize); err == nil {
-					m.AS.Store(p, 8, uint64(i)) // commit a page, decommitted below
-					m.Munmap(p, 3*mem.PageSize)
+		for i := 0; i < iters; i++ {
+			// Transient mapping: reserve then fully release.
+			if p, err := m.Mmap(3 * mem.PageSize); err == nil {
+				m.AS.Store(p, 8, uint64(i)) // commit a page, decommitted below
+				m.Munmap(p, 3*mem.PageSize)
+			}
+			if _, err := m.GlobalAlloc(64); err == nil {
+				globals += 64
+			}
+			if i%32 == 0 {
+				if _, err := m.MetaAlloc(mem.PageSize); err == nil {
+					metas += mem.PageSize
 				}
-				if _, err := m.GlobalAlloc(64); err == nil {
-					globals.Add(64)
-				}
-				if i%32 == 0 {
-					if _, err := m.MetaAlloc(mem.PageSize); err == nil {
-						metas.Add(mem.PageSize)
-					}
-					if w < 4 && i == 0 {
-						th := m.NewThread()
-						th.Store(th.StackAlloc(16), 8, 1)
-						threads.Add(StackSize)
-					}
+				if w < 4 && i == 0 {
+					th := m.NewThread()
+					th.Store(th.StackAlloc(16), 8, 1)
+					threads += StackSize
 				}
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
 
-	want := globals.Load() + metas.Load() + threads.Load()
+	want := globals + metas + threads
 	if got := m.AS.Reserved(); got != want {
 		t.Fatalf("reserved = %d after all munmaps, want %d (globals %d + meta %d + stacks %d)",
-			got, want, globals.Load(), metas.Load(), threads.Load())
+			got, want, globals, metas, threads)
 	}
 	if m.AS.Reserved() > m.Cfg.MemoryBudget {
 		t.Fatalf("reservation %d exceeds budget %d", m.AS.Reserved(), m.Cfg.MemoryBudget)
@@ -68,7 +60,9 @@ func TestConcurrentReservationAccounting(t *testing.T) {
 
 // TestConcurrentMachinesShareNothing runs independent machines in parallel —
 // the engine's cell-level parallelism — and checks each one's counters match
-// a sequential run of the same trace bit for bit.
+// a sequential run of the same trace bit for bit. Under -race it guards the
+// single-owner contract from the other side: a machine takes no host locks,
+// so machines must share no host state.
 func TestConcurrentMachinesShareNothing(t *testing.T) {
 	trace := func(m *Machine) Thread {
 		th := m.NewThread()

@@ -10,12 +10,19 @@
 // elapsed simulated time of a parallel phase as the maximum over the
 // workers' cycles — the critical path — while still aggregating every
 // worker's events into the machine totals for reporting.
+//
+// A Machine and everything built on it — its address space, caches and EPC,
+// and the heaps and hardening policies over it — belong to one goroutine.
+// Simulated threads run in turn on that goroutine (Machine.Parallel runs
+// its workers in order), so none of this state takes a host lock; host
+// parallelism lives one level up, across machines that share nothing
+// (internal/bench.Engine). The one exception is Config.Cancel, which
+// another goroutine sets to abort a run.
 package machine
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"sgxbounds/internal/cache"
@@ -122,18 +129,17 @@ func NativeConfig() Config {
 	return c
 }
 
-// Machine is the shared simulated hardware.
+// Machine is the simulated hardware its threads share: memory, LLC, EPC
+// and the virtual memory budget. It belongs to one goroutine (see the
+// package doc).
 type Machine struct {
 	AS  *mem.AddressSpace
 	Cfg Config
-	L3  *cache.Shared
+	L3  *cache.Cache
 	EPC *enclave.EPC
 
 	costs perf.Table // Cfg.Cost resolved for this machine's enclave setting
 
-	atomicMu sync.Mutex // the lock-prefix bus lock for atomic RMW
-
-	mu         sync.Mutex
 	globalsBrk uint32
 	mmapBrk    uint32
 	metaBrk    uint32
@@ -159,7 +165,7 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		AS:         mem.New(),
 		Cfg:        cfg,
-		L3:         cache.NewShared(cfg.L3),
+		L3:         cache.New(cfg.L3),
 		costs:      cfg.Cost.Table(cfg.Enclave.Enabled),
 		globalsBrk: GlobalsBase,
 		mmapBrk:    MmapBase,
@@ -177,8 +183,9 @@ func New(cfg Config) *Machine {
 			batchLines:   p.Histogram("machine.batch_lines"),
 			batchCycles:  p.Histogram("machine.batch_cycles"),
 			transitions:  p.Counter("machine.transitions"),
+			llcAccesses:  p.Counter("llc.accesses"),
+			llcMisses:    p.Counter("llc.misses"),
 		}
-		m.L3.Instrument(p.Counter("llc.accesses"), p.Counter("llc.misses"))
 		m.AS.Instrument(p.Counter("mem.page_commits"), p.Counter("mem.page_decommits"))
 		if m.EPC != nil {
 			m.EPC.Instrument(p.Counter("epc.faults"), p.Counter("epc.cold_faults"), p.Counter("epc.evictions"))
@@ -201,6 +208,8 @@ type probes struct {
 	batchLines   *telemetry.Histogram // lines per batched access
 	batchCycles  *telemetry.Histogram // cycles charged per batched access
 	transitions  *telemetry.Counter   // enclave boundary crossings
+	llcAccesses  *telemetry.Counter   // LLC probes (lines that missed L2)
+	llcMisses    *telemetry.Counter   // LLC misses (lines served by memory)
 }
 
 // MEEBurstLines is the memory-level line count at which a single batched
@@ -226,8 +235,7 @@ func (p *probes) noteEPC(tid int, ts uint64, pn uint32, r enclave.TouchResult) {
 }
 
 // TryReserve reserves size bytes of virtual memory, failing with
-// ErrOutOfMemory if it would exceed the enclave budget. Callers must hold
-// m.mu: the check-then-reserve pair is what the lock makes atomic.
+// ErrOutOfMemory if it would exceed the enclave budget.
 func (m *Machine) TryReserve(size uint64) error {
 	if m.AS.Reserved()+size > m.Cfg.MemoryBudget {
 		return ErrOutOfMemory
@@ -238,8 +246,6 @@ func (m *Machine) TryReserve(size uint64) error {
 
 // GlobalAlloc carves size bytes (8-byte aligned) out of the globals region.
 func (m *Machine) GlobalAlloc(size uint32) (uint32, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	base := (m.globalsBrk + 7) &^ 7
 	if base+size > GlobalsTop || base+size < base {
 		return 0, ErrOutOfMemory
@@ -254,8 +260,6 @@ func (m *Machine) GlobalAlloc(size uint32) (uint32, error) {
 // Mmap maps size bytes (page-aligned) in the mmap region.
 func (m *Machine) Mmap(size uint32) (uint32, error) {
 	size = (size + mem.PageSize - 1) &^ (mem.PageSize - 1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.mmapBrk+size > MmapTop || m.mmapBrk+size < m.mmapBrk {
 		return 0, ErrOutOfMemory
 	}
@@ -269,14 +273,10 @@ func (m *Machine) Mmap(size uint32) (uint32, error) {
 
 // Munmap releases a mapping's reservation and decommits its pages. The
 // region allocator is bump-only, so the addresses are not recycled; this
-// matches the reproduction's reserved-VM accounting needs. It takes m.mu so
-// that the release is atomic with respect to the check-then-reserve in
-// TryReserve (GlobalAlloc, Mmap, MetaAlloc).
+// matches the reproduction's reserved-VM accounting needs.
 func (m *Machine) Munmap(addr, size uint32) {
 	size = (size + mem.PageSize - 1) &^ (mem.PageSize - 1)
-	m.mu.Lock()
 	m.AS.Release(uint64(size))
-	m.mu.Unlock()
 	for p := addr; p < addr+size; p += mem.PageSize {
 		m.AS.Decommit(p)
 	}
@@ -286,8 +286,6 @@ func (m *Machine) Munmap(addr, size uint32) {
 // Policies use it for shadow memory and bounds tables.
 func (m *Machine) MetaAlloc(size uint32) (uint32, error) {
 	size = (size + mem.PageSize - 1) &^ (mem.PageSize - 1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.metaBrk+size > MetaTop || m.metaBrk+size < m.metaBrk {
 		return 0, ErrOutOfMemory
 	}
@@ -350,22 +348,17 @@ func (t *Thread) SpillBase() uint32 { return t.stackLo }
 
 // NewThread creates a thread with fresh private caches and its own stack.
 func (m *Machine) NewThread() *Thread {
-	m.mu.Lock()
-	id := int((m.nextStack - StackBase) / StackSize)
 	lo := m.nextStack
 	if lo+StackSize > StackTop {
-		m.mu.Unlock()
 		panic("machine: out of stack regions")
 	}
 	m.nextStack += StackSize
-	// Stack regions are reserved unconditionally (threads are a fixed
-	// hardware resource, not an allocation that can fail), but under m.mu
-	// like every other reservation so the accounting stays consistent.
+	// Stack regions are reserved unconditionally: threads are a fixed
+	// hardware resource, not an allocation that can fail.
 	m.AS.Reserve(StackSize)
-	m.mu.Unlock()
 	return &Thread{
 		M:       m,
-		ID:      id,
+		ID:      int((lo - StackBase) / StackSize),
 		l1:      cache.New(m.Cfg.L1),
 		l2:      cache.New(m.Cfg.L2),
 		tel:     m.tel,
@@ -461,12 +454,19 @@ func (t *Thread) tracedTouch(line uint32) (fault, cold bool) {
 	return r.Fault, r.Cold
 }
 
-// observeAccess publishes the cost of one scalar probe. Out of line for the
-// same reason as tracedTouch.
+// observeAccess publishes the cost of one scalar probe, and the probe's LLC
+// access and miss when it got past L2. Out of line for the same reason as
+// tracedTouch.
 //
 //go:noinline
 func (t *Thread) observeAccess(lvl perf.Level) {
 	t.tel.accessCycles.Observe(t.M.costs.Level[lvl])
+	if lvl >= perf.L3 {
+		t.tel.llcAccesses.Inc()
+		if lvl != perf.L3 {
+			t.tel.llcMisses.Inc()
+		}
+	}
 	if lvl == perf.Fault {
 		t.tel.faultCycles.Observe(t.M.costs.Level[lvl])
 	}
@@ -560,10 +560,10 @@ const batchThreshold = 4
 // memory hierarchy and charges one load or store event per line.
 //
 // Lines walk the hierarchy level by level: all lines probe L1 (misses spill
-// to a buffer), the L1 misses probe L2, the L2 misses probe the LLC under a
-// single lock, and the pages of the LLC misses — deduplicated, so a bulk
-// operation faults at most once per page — probe the EPC under a single
-// lock. Per-level counts are then charged in one Counters update.
+// to a buffer), the L1 misses probe L2, the L2 misses probe the LLC, and the
+// pages of the LLC misses — deduplicated, so a bulk operation faults at most
+// once per page — probe the EPC. Per-level counts are then charged in one
+// Counters update.
 //
 // This produces exactly the counters and cache/EPC state of the per-line
 // walk (each cache sees the same access sequence — every level receives the
@@ -668,7 +668,12 @@ func (t *Thread) accessRange(first, last uint32, write bool) {
 		t.C.Charge(&b, &t.M.costs)
 		tel.batchLines.Observe(nLines)
 		tel.batchCycles.Observe(t.C.Cycles - before)
-		if memLines := b.Hits[perf.DRAM] + b.Hits[perf.Fault]; memLines >= MEEBurstLines && t.M.EPC != nil {
+		// Every line that missed L2 probed the LLC; the memory-level
+		// lines are its misses.
+		memLines := b.Hits[perf.DRAM] + b.Hits[perf.Fault]
+		tel.llcAccesses.Add(b.Hits[perf.L3] + memLines)
+		tel.llcMisses.Add(memLines)
+		if memLines >= MEEBurstLines && t.M.EPC != nil {
 			tel.tracer.Emit(telemetry.Event{Ts: t.C.Cycles, Tid: int32(t.ID), Kind: telemetry.EvMEEBurst,
 				Arg0: memLines, Arg1: nLines})
 		}
@@ -713,15 +718,10 @@ func (t *Thread) StackAlloc(size uint32) uint32 {
 // up instead, across independent experiment cells (internal/bench.Engine),
 // where machines share no state at all.
 func (m *Machine) Parallel(caller *Thread, n int, body func(w *Thread, i int)) {
-	m.mu.Lock()
 	for len(m.workers) < n {
-		m.mu.Unlock()
-		w := m.NewThread()
-		m.mu.Lock()
-		m.workers = append(m.workers, w)
+		m.workers = append(m.workers, m.NewThread())
 	}
 	workers := m.workers[:n]
-	m.mu.Unlock()
 
 	if tel := m.tel; tel != nil {
 		tel.tracer.Emit(telemetry.Event{Ts: caller.C.Cycles, Tid: int32(caller.ID),
@@ -736,12 +736,8 @@ func (m *Machine) Parallel(caller *Thread, n int, body func(w *Thread, i int)) {
 	}
 	var maxCycles uint64
 	for _, w := range workers {
-		if w.C.Cycles > maxCycles {
-			maxCycles = w.C.Cycles
-		}
-		m.mu.Lock()
+		maxCycles = max(maxCycles, w.C.Cycles)
 		m.totals.Add(&w.C)
-		m.mu.Unlock()
 		w.C = perf.Counters{} // drained into totals; the pool thread is reused
 	}
 	caller.C.Cycles += maxCycles
@@ -760,21 +756,17 @@ func (m *Machine) Parallel(caller *Thread, n int, body func(w *Thread, i int)) {
 // final aggregate. Elapsed simulated time is the main thread's cycle count
 // (parallel phases already contributed their critical path to it).
 func (m *Machine) Finish(main *Thread) perf.Counters {
-	m.mu.Lock()
 	m.totals.Add(&main.C)
-	t := m.totals
-	m.mu.Unlock()
-	return t
+	return m.totals
 }
 
-// Atomically runs fn under the machine's bus lock, charging t the
-// lock-prefix penalty. Simulated atomic read-modify-write operations
-// (checked per §3.2, like any load or store) are built on it.
+// Atomically runs fn as one simulated atomic read-modify-write, charging t
+// the lock-prefix penalty. Threads run in turn, so no other thread's
+// access can land inside fn. Simulated atomic operations (checked per
+// §3.2, like any load or store) are built on it.
 func (m *Machine) Atomically(t *Thread, fn func()) {
 	t.Instr(12) // lock prefix + fence cost
-	m.atomicMu.Lock()
 	fn()
-	m.atomicMu.Unlock()
 }
 
 // PageFaults returns total EPC page faults (0 outside an enclave).

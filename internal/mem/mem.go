@@ -16,8 +16,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"sgxbounds/internal/telemetry"
 )
@@ -44,23 +42,19 @@ const (
 	numChunks  = NumPages >> chunkShift //
 )
 
-type chunk [chunkPages]atomic.Pointer[page]
+type chunk [chunkPages]*page
 
 // AddressSpace is a sparse 32-bit byte-addressable memory. Pages are
-// committed (backed by real storage) on first touch. All methods are safe
-// for concurrent use by multiple simulated threads; races on the *contents*
-// of memory are the simulated program's own business, exactly as on real
-// hardware.
+// committed (backed by real storage) on first touch. An AddressSpace
+// belongs to the goroutine that runs its machine; the simulated threads
+// that share it run in turn.
 type AddressSpace struct {
-	chunks [numChunks]atomic.Pointer[chunk]
+	chunks [numChunks]*chunk
 
-	commitMu sync.Mutex // serializes page commits
-
-	committed atomic.Uint64 // bytes backed by committed pages
-
-	reserved     atomic.Uint64 // bytes of reserved virtual memory
-	peakReserved atomic.Uint64 // high-water mark of reserved
-	peakCommit   atomic.Uint64 // high-water mark of committed
+	committed    uint64 // bytes backed by committed pages
+	reserved     uint64 // bytes of reserved virtual memory
+	peakReserved uint64 // high-water mark of reserved
+	peakCommit   uint64 // high-water mark of committed
 
 	// Pre-resolved telemetry counters (nil when telemetry is disabled;
 	// nil-safe). Touched only on the commit/decommit slow paths.
@@ -84,90 +78,71 @@ func (as *AddressSpace) Instrument(commits, decommits *telemetry.Counter) {
 // mmap with PROT_NONE or of carving out a shadow region). Reservation is
 // pure accounting: no pages are committed.
 func (as *AddressSpace) Reserve(size uint64) {
-	cur := as.reserved.Add(size)
-	for {
-		peak := as.peakReserved.Load()
-		if cur <= peak || as.peakReserved.CompareAndSwap(peak, cur) {
-			return
-		}
-	}
+	as.reserved += size
+	as.peakReserved = max(as.peakReserved, as.reserved)
 }
 
 // Release returns size bytes of reserved virtual memory.
 func (as *AddressSpace) Release(size uint64) {
-	as.reserved.Add(^(size - 1)) // atomic subtract
+	as.reserved -= size
 }
 
 // Reserved returns the current amount of reserved virtual memory in bytes.
-func (as *AddressSpace) Reserved() uint64 { return as.reserved.Load() }
+func (as *AddressSpace) Reserved() uint64 { return as.reserved }
 
 // PeakReserved returns the high-water mark of reserved virtual memory. This
 // is the "memory overhead" metric of the paper's evaluation.
-func (as *AddressSpace) PeakReserved() uint64 { return as.peakReserved.Load() }
+func (as *AddressSpace) PeakReserved() uint64 { return as.peakReserved }
 
 // Committed returns the bytes currently backed by committed pages.
-func (as *AddressSpace) Committed() uint64 { return as.committed.Load() }
+func (as *AddressSpace) Committed() uint64 { return as.committed }
 
 // PeakCommitted returns the high-water mark of committed bytes.
-func (as *AddressSpace) PeakCommitted() uint64 { return as.peakCommit.Load() }
+func (as *AddressSpace) PeakCommitted() uint64 { return as.peakCommit }
 
 // Decommit drops the page containing addr, returning its storage. It models
 // freeing whole pages back to the (simulated) OS.
 func (as *AddressSpace) Decommit(addr uint32) {
 	pn := addr >> PageShift
-	as.commitMu.Lock()
-	if ch := as.chunks[pn>>chunkShift].Load(); ch != nil {
-		if ch[pn&(chunkPages-1)].Load() != nil {
-			ch[pn&(chunkPages-1)].Store(nil)
-			as.committed.Add(^uint64(PageSize - 1))
-			as.mDecommits.Inc()
-		}
+	if ch := as.chunks[pn>>chunkShift]; ch != nil && ch[pn&(chunkPages-1)] != nil {
+		ch[pn&(chunkPages-1)] = nil
+		as.committed -= PageSize
+		as.mDecommits.Inc()
 	}
-	as.commitMu.Unlock()
 }
 
 // pageFor returns the page containing addr, committing it if needed.
 func (as *AddressSpace) pageFor(addr uint32) *page {
 	pn := addr >> PageShift
-	if ch := as.chunks[pn>>chunkShift].Load(); ch != nil {
-		if p := ch[pn&(chunkPages-1)].Load(); p != nil {
+	if ch := as.chunks[pn>>chunkShift]; ch != nil {
+		if p := ch[pn&(chunkPages-1)]; p != nil {
 			return p
 		}
 	}
 	return as.commitPage(pn)
 }
 
-// commitPage is pageFor's slow path: it installs the chunk and page as
-// needed, racing commits serialized by commitMu.
+// commitPage is pageFor's slow path: it commits the uncommitted page pn,
+// installing its chunk first if needed.
 func (as *AddressSpace) commitPage(pn uint32) *page {
-	as.commitMu.Lock()
-	ch := as.chunks[pn>>chunkShift].Load()
+	ch := as.chunks[pn>>chunkShift]
 	if ch == nil {
 		ch = new(chunk)
-		as.chunks[pn>>chunkShift].Store(ch)
+		as.chunks[pn>>chunkShift] = ch
 	}
-	p := ch[pn&(chunkPages-1)].Load()
-	if p == nil {
-		p = new(page)
-		ch[pn&(chunkPages-1)].Store(p)
-		as.mCommits.Inc()
-		cur := as.committed.Add(PageSize)
-		for {
-			peak := as.peakCommit.Load()
-			if cur <= peak || as.peakCommit.CompareAndSwap(peak, cur) {
-				break
-			}
-		}
-	}
-	as.commitMu.Unlock()
+	p := new(page)
+	ch[pn&(chunkPages-1)] = p
+	as.mCommits.Inc()
+	as.committed += PageSize
+	as.peakCommit = max(as.peakCommit, as.committed)
 	return p
 }
 
 // IsCommitted reports whether the page containing addr is committed.
 func (as *AddressSpace) IsCommitted(addr uint32) bool {
 	pn := addr >> PageShift
-	ch := as.chunks[pn>>chunkShift].Load()
-	return ch != nil && ch[pn&(chunkPages-1)].Load() != nil
+	ch := as.chunks[pn>>chunkShift]
+	return ch != nil && ch[pn&(chunkPages-1)] != nil
 }
 
 // Load reads size bytes (1, 2, 4 or 8) at addr, little-endian.

@@ -30,9 +30,6 @@
 package mpx
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"sgxbounds/internal/harden"
 	"sgxbounds/internal/machine"
 )
@@ -59,17 +56,9 @@ type Policy struct {
 	env    *harden.Env
 	bdBase uint32
 
-	mu     sync.RWMutex
 	bounds [][2]uint32       // bounds-register file + spill values; id-1 indexes
 	byKey  map[uint64]uint32 // packed (lb,ub) -> id, for bndldx reconstruction
 	bts    map[uint32]uint32 // region -> bounds-table base
-
-	// boundsSnap is the latest published snapshot of the append-only bounds
-	// slice. boundsOf runs on every checked access, so it reads the snapshot
-	// lock-free; makeBounds republishes it (under mu) after each append. Ids
-	// are stable and entries immutable, so any snapshot that contains an id
-	// resolves it correctly.
-	boundsSnap atomic.Pointer[[][2]uint32]
 }
 
 // New builds an MPX policy over env, mapping the Bounds Directory.
@@ -100,8 +89,6 @@ func (pl *Policy) StringFunctionsUnchecked() bool { return true }
 // BoundsTables returns the number of bounds tables allocated so far
 // (column 6 of Table 3).
 func (pl *Policy) BoundsTables() int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
 	return len(pl.bts)
 }
 
@@ -112,37 +99,21 @@ func (pl *Policy) makeBounds(lb, ub uint32) uint32 {
 		return 0
 	}
 	key := uint64(lb)<<32 | uint64(ub)
-	pl.mu.RLock()
-	id, ok := pl.byKey[key]
-	pl.mu.RUnlock()
-	if ok {
-		return id
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if id, ok = pl.byKey[key]; ok {
+	if id, ok := pl.byKey[key]; ok {
 		return id
 	}
 	pl.bounds = append(pl.bounds, [2]uint32{lb, ub})
-	id = uint32(len(pl.bounds))
+	id := uint32(len(pl.bounds))
 	pl.byKey[key] = id
-	snap := pl.bounds
-	pl.boundsSnap.Store(&snap)
 	return id
 }
 
-// boundsOf resolves a bounds id against the published snapshot. A caller
-// holding an id always observes a snapshot that contains it: the id was
-// published (with its entry) before the caller could have obtained it.
+// boundsOf resolves a bounds id; id 0 (INIT) has no bounds.
 func (pl *Policy) boundsOf(id uint32) (lb, ub uint32, ok bool) {
-	if id == 0 {
+	if id == 0 || int(id) > len(pl.bounds) {
 		return 0, 0, false
 	}
-	snap := pl.boundsSnap.Load()
-	if snap == nil || int(id) > len(*snap) {
-		return 0, 0, false
-	}
-	b := (*snap)[id-1]
+	b := pl.bounds[id-1]
 	return b[0], b[1], true
 }
 
@@ -273,18 +244,15 @@ func (pl *Policy) btEntry(t *machine.Thread, loc uint32, create bool) (uint32, b
 		if !create {
 			return 0, false
 		}
-		pl.mu.Lock()
 		btBase = pl.bts[region]
 		if btBase == 0 {
 			base, err := pl.env.M.MetaAlloc(BTSize)
 			if err != nil {
-				pl.mu.Unlock()
 				panic(err) // enclave out of memory: the MPX crash mode
 			}
 			btBase = base
 			pl.bts[region] = base
 		}
-		pl.mu.Unlock()
 		t.Store(bdAddr, 4, uint64(btBase))
 	}
 	idx := (loc & (1<<RegionShift - 1)) / 4

@@ -149,9 +149,9 @@ func (o *oracle) noteJournalImage(path string) {
 			continue
 		}
 		var rec struct {
-			T     string `json:"t"`
-			ID    string `json:"id"`
-			State string `json:"state"`
+			T     string          `json:"t"`
+			ID    string          `json:"id"`
+			State string          `json:"state"`
 			Req   json.RawMessage `json:"req"`
 		}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {

@@ -155,9 +155,9 @@ func (o Options) withDefaults() Options {
 // Result summarises one exploration.
 type Result struct {
 	Program    string
-	Executions int // distinct interleavings actually run
-	Pruned     int // scheduling decisions clamped by the state-hash cache
-	Crashes    int // simulated crashes across all executions
+	Executions int  // distinct interleavings actually run
+	Pruned     int  // scheduling decisions clamped by the state-hash cache
+	Crashes    int  // simulated crashes across all executions
 	Exhausted  bool // the whole (pruned) space was enumerated within budget
 	Violation  *Violation
 }
