@@ -19,13 +19,12 @@
 //	cancel <job-id>        cancel a queued or running job
 //	quarantine ls          list parked poison jobs (panicked/timed out N times)
 //	requeue <job-id>       release a quarantined job as a fresh submission
+//	                       (any cluster node releases it where it is parked)
 //	experiments            list runnable experiments
 //	cluster status         membership table (with epoch) as this node sees it
 //	cluster join <seed>    tell this daemon to join the fleet at seed's URL
 //	cluster leave          gracefully drain and depart this daemon's node
 //	cluster quarantine ls  fleet-wide quarantine view (all nodes)
-//	cluster quarantine requeue <job-id>
-//	                       release a parked job wherever in the fleet it lives
 //	gc                     sweep stale results from the store
 //	ping                   check the daemon is up (liveness)
 //	ready                  check the daemon accepts work (readiness)
@@ -37,6 +36,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -112,13 +112,12 @@ commands:
   profile <job-id> [-o FILE]    download the telemetry run profile
   cancel <job-id>
   quarantine ls                 list parked poison jobs
-  requeue <job-id>              release a quarantined job as a fresh submission
+  requeue <job-id>              release a quarantined job (from any cluster node)
   experiments                   list runnable experiments
   cluster status                membership table (with epoch) as this node sees it
   cluster join <seed-url>       tell this daemon to join the fleet at seed
   cluster leave                 gracefully drain and depart this daemon's node
   cluster quarantine ls         fleet-wide quarantine view
-  cluster quarantine requeue <job-id>   release a parked job on any node
   gc                            sweep stale store entries
   ping                          liveness
   ready                         readiness (journal replayed, store writable)
@@ -426,8 +425,9 @@ func (c *client) experiments() error {
 // cluster drives the membership: status table, join/leave churn, and the
 // fleet-wide quarantine view.
 func (c *client) cluster(args []string) error {
+	const usage = "usage: cluster status | join <seed-url> | leave | quarantine ls"
 	if len(args) == 0 {
-		return fmt.Errorf("usage: cluster status | join <seed-url> | leave | quarantine ls | quarantine requeue <job-id>")
+		return errors.New(usage)
 	}
 	switch cmd, rest := args[0], args[1:]; cmd {
 	case "status":
@@ -439,7 +439,7 @@ func (c *client) cluster(args []string) error {
 	case "quarantine":
 		return c.clusterQuarantine(rest)
 	default:
-		return fmt.Errorf("usage: cluster status | join <seed-url> | leave | quarantine ls | quarantine requeue <job-id>")
+		return errors.New(usage)
 	}
 }
 
@@ -474,9 +474,6 @@ func (c *client) printClusterStatus(st cluster.Status) {
 		}
 		if n.Leaving {
 			state = "leaving"
-		}
-		if n.Breaker != "" {
-			state += "!" // degraded: circuit breaker open or probing
 		}
 		fmt.Fprintf(c.out, "%-8s %-8s %6d %7d  %s\n", n.ID, state, n.Queued, n.Pending, n.Addr)
 	}
@@ -528,58 +525,28 @@ func (c *client) clusterLeave(args []string) error {
 	}
 }
 
-// clusterQuarantine aggregates the fleet-wide quarantine view, and can
-// requeue a parked job wherever it lives — the node holding it is found
-// from the aggregate and the release proxies there.
+// clusterQuarantine prints the fleet-wide quarantine view. A listed job is
+// released from any node with requeue: its ID names the node holding it.
 func (c *client) clusterQuarantine(args []string) error {
-	if len(args) == 1 && args[0] == "ls" {
-		var rep cluster.QuarantineReport
-		if err := c.api(http.MethodGet, "/api/v1/cluster/quarantine", nil, &rep); err != nil {
-			return err
-		}
-		total := 0
-		fmt.Fprintf(c.out, "%-8s %-12s %-10s %8s  %s\n", "NODE", "JOB", "EXPERIMENT", "ATTEMPTS", "ERROR")
-		for _, n := range rep.Nodes {
-			for _, st := range n.Jobs {
-				total++
-				fmt.Fprintf(c.out, "%-8s %-12s %-10s %8d  %s\n", n.ID, st.ID, st.Job.Experiment, st.Attempts, st.Error)
-			}
-		}
-		if total == 0 {
-			fmt.Fprintln(c.out, "quarantine empty fleet-wide")
-		}
-		return nil
+	if len(args) != 1 || args[0] != "ls" {
+		return fmt.Errorf("usage: cluster quarantine ls")
 	}
-	if len(args) == 2 && args[0] == "requeue" {
-		id := args[1]
-		var rep cluster.QuarantineReport
-		if err := c.api(http.MethodGet, "/api/v1/cluster/quarantine", nil, &rep); err != nil {
-			return err
-		}
-		node := ""
-		for _, n := range rep.Nodes {
-			for _, st := range n.Jobs {
-				if st.ID == id {
-					node = n.ID
-				}
-			}
-		}
-		if node == "" {
-			return fmt.Errorf("job %q is not quarantined on any node", id)
-		}
-		var out struct {
-			Quarantined serve.JobStatus `json:"quarantined"`
-			Requeued    serve.JobStatus `json:"requeued"`
-		}
-		if err := c.api(http.MethodPost, "/api/v1/cluster/quarantine/"+node+"/"+id+"/requeue", nil, &out); err != nil {
-			return err
-		}
-		fmt.Fprintf(c.errOut, "job %s on %s released as %s (%s)\n",
-			out.Quarantined.ID, node, out.Requeued.ID, out.Requeued.State)
-		fmt.Fprintln(c.out, out.Requeued.ID)
-		return nil
+	var rep cluster.QuarantineReport
+	if err := c.api(http.MethodGet, "/api/v1/cluster/quarantine", nil, &rep); err != nil {
+		return err
 	}
-	return fmt.Errorf("usage: cluster quarantine ls | cluster quarantine requeue <job-id>")
+	total := 0
+	fmt.Fprintf(c.out, "%-8s %-12s %-10s %8s  %s\n", "NODE", "JOB", "EXPERIMENT", "ATTEMPTS", "ERROR")
+	for _, n := range rep.Nodes {
+		for _, st := range n.Jobs {
+			total++
+			fmt.Fprintf(c.out, "%-8s %-12s %-10s %8d  %s\n", n.ID, st.ID, st.Job.Experiment, st.Attempts, st.Error)
+		}
+	}
+	if total == 0 {
+		fmt.Fprintln(c.out, "quarantine empty fleet-wide")
+	}
+	return nil
 }
 
 func (c *client) gc() error {

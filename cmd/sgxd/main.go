@@ -42,6 +42,19 @@
 //	GET    /healthz                    liveness (process is up)
 //	GET    /readyz                     readiness (journal replayed, store writable)
 //
+// In cluster mode internal/cluster mounts its own endpoints beside these:
+//
+//	GET    /api/v1/cluster/status      membership as this node sees it
+//	POST   /api/v1/cluster/heartbeat   peer heartbeat (liveness, view gossip)
+//	GET    /api/v1/cluster/results/{key}  verified result for a peer
+//	POST   /api/v1/cluster/join        admit a joiner, or {"seed": url} to join
+//	POST   /api/v1/cluster/leave       graceful departure
+//	POST   /api/v1/cluster/replicate   re-replicated result from a peer
+//	GET    /api/v1/cluster/quarantine  fleet-wide quarantine view
+//
+// A forwarded submission is an ordinary POST /api/v1/jobs marked with
+// X-Sgxd-Forwarded. A single-node daemon answers /api/v1/cluster/ with 404.
+//
 // The journal (on by default, next to the store) makes accepted jobs
 // durable: after a crash or SIGKILL, restart replays it — queued and
 // interrupted jobs re-run to byte-identical results, quarantined jobs stay

@@ -4,7 +4,9 @@
 // its result everywhere, so any node's bytes are every node's bytes once
 // verified — replication is read-through, never consensus.
 //
-// Six mechanisms, all over the existing HTTP transport:
+// Five mechanisms, all over the existing HTTP transport. The package owns
+// both ends of that transport: it sends every peer request, and Register
+// mounts the endpoints that answer them.
 //
 //   - Membership + liveness: an epoch-versioned membership view, seeded
 //     from the boot node list and gossiped on periodic heartbeats that
@@ -14,13 +16,17 @@
 //     Nodes join a running fleet (POST /api/v1/cluster/join) and leave it
 //     gracefully (ring-excluded drain, queue handoff, then departure)
 //     without any restarts. A node silent past the dead-after window is
-//     dead.
+//     dead. This is the one liveness signal: a peer leaves the ring, the
+//     fetch candidates and the re-replication targets only when heartbeats
+//     declare it dead, and a failed call to a live peer costs that call
+//     alone.
 //   - Placement: job digests consistent-hash onto live nodes (bounded-load
 //     variant — a node whose queue exceeds its fair share spills to the
 //     next ring node, so hot shards spread). The ring is rebuilt
 //     atomically on every epoch change; an in-flight forward that loses
 //     the race re-routes once against the new epoch before falling back
-//     to local compute.
+//     to local compute. An owner's 4xx (backpressure, quota) is final: the
+//     forwarding node relays it instead of admitting the job itself.
 //   - Peer-fetch read-through: a local result miss consults live peers
 //     before computing, owner first. Peer bytes are re-verified (key,
 //     SimVersion, size, sha256) on arrival; corrupt bytes count, log, and
@@ -29,21 +35,16 @@
 //     manifest and pushes verified copies of results it no longer owns to
 //     the new owner (rate-limited, resumable; see rebalance.go), so a
 //     later owner-local read is a disk hit instead of a cross-node fetch.
-//   - Degraded-mode routing: per-peer circuit breakers (consecutive
-//     failures → open for a backoff window → half-open probe; see
-//     breaker.go) make a flapping peer cost one timeout instead of one
-//     per request, with fallback-to-local compute while open.
 //   - Recovery and handoff: when a node dies, exactly one survivor (its
 //     successor among the living) re-enqueues the dead node's piggybacked
 //     unsettled jobs, at most once per job per boot incarnation; a leaving
 //     node hands its still-queued jobs to their new owners. Both move
 //     pending work through one path, routeSubmit.
 //
-// Fault sites (internal/faultline): "cluster.heartbeat" drops outgoing
-// beats, "cluster.peer.fetch" fails the peer read-through, bitflip on
-// "cluster.peer.body" corrupts received result bytes, "cluster.join" fails
-// join admission, "cluster.rebalance" skips re-replication scan steps, and
-// "cluster.peer.replicate" fails the push of one re-replicated result.
+// Fault sites (internal/faultline): "cluster.peer.fetch" fails the peer
+// read-through, bitflip on "cluster.peer.body" corrupts received result
+// bytes, and "cluster.peer.replicate" fails the push of one re-replicated
+// result.
 package cluster
 
 import (
@@ -103,12 +104,6 @@ type Local interface {
 	// Quarantined lists the node's parked poison jobs — the digest the
 	// heartbeats carry for fleet-wide quarantine visibility.
 	Quarantined(max int) []sched.JobStatus
-	// Manifest lists the store keys this node holds for the running
-	// simulator version — the scan set for re-replication.
-	Manifest() []string
-	// LoadResult reads one verified result body from the local disk store
-	// (the push side of re-replication).
-	LoadResult(key string) (body []byte, meta store.Meta, ok bool)
 }
 
 // Config parameterises a Cluster.
@@ -123,7 +118,11 @@ type Config struct {
 	// (default 3).
 	DeadAfter int
 
-	Local   Local
+	Local Local
+	// Store is the node's raw disk tier, never the read-through above it:
+	// peers are served from it (so two nodes missing a digest cannot chase
+	// each other), pushed results land in it, and re-replication scans it.
+	Store   *store.Store
 	Metrics *telemetry.Registry
 	Faults  *faultline.Injector
 	Log     *log.Logger
@@ -146,19 +145,19 @@ type Cluster struct {
 	interval  time.Duration
 	deadAfter time.Duration
 	local     Local
+	store     *store.Store
 	client    *http.Client
 	faults    *faultline.Injector
 	log       *log.Logger
 	nonce     string
-	breakers  *breakers
 
 	// peer_fetches and rereplicated sit at the registry top level so the
 	// exposition names are exactly sgxd_peer_fetches_total and
 	// sgxd_rereplicated_total; the rest live under cluster.*.
 	peerFetches, rereplicated, peerCorrupt      *telemetry.Counter
 	beatsSent, beatsRecv, deaths, jobsRecovered *telemetry.Counter
-	forwarded, forwardFallback                  *telemetry.Counter
-	epochChanges, joins, breakerOpens           *telemetry.Counter
+	forwarded, forwardFallback, epochChanges    *telemetry.Counter
+	joins                                       *telemetry.Counter
 
 	mu       sync.Mutex
 	view     View
@@ -179,6 +178,9 @@ type Cluster struct {
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Local == nil {
 		return nil, errors.New("cluster: Config.Local is required")
+	}
+	if cfg.Store == nil {
+		return nil, errors.New("cluster: Config.Store is required")
 	}
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: Config.Nodes is empty")
@@ -218,6 +220,7 @@ func New(cfg Config) (*Cluster, error) {
 		interval:  cfg.Heartbeat,
 		deadAfter: time.Duration(cfg.DeadAfter) * cfg.Heartbeat,
 		local:     cfg.Local,
+		store:     cfg.Store,
 		client:    defaultClient(),
 		faults:    cfg.Faults,
 		log:       cfg.Log,
@@ -234,7 +237,6 @@ func New(cfg Config) (*Cluster, error) {
 		forwardFallback: cfg.Metrics.Counter("cluster.forward_fallback"),
 		epochChanges:    cfg.Metrics.Counter("cluster.epoch_changes"),
 		joins:           cfg.Metrics.Counter("cluster.joins"),
-		breakerOpens:    cfg.Metrics.Counter("cluster.breaker_opens"),
 
 		view:     view,
 		ring:     newRing(view.ringIDs()),
@@ -243,7 +245,6 @@ func New(cfg Config) (*Cluster, error) {
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	c.breakers = newBreakers(8*c.interval, 64*c.interval, nil, func() { c.breakerOpens.Inc() })
 	return c, nil
 }
 
@@ -339,9 +340,6 @@ func (c *Cluster) beatOnce() {
 	}
 	c.mu.Unlock()
 	for _, node := range targets {
-		if err := c.faults.Fire("cluster.heartbeat", node.ID); err != nil {
-			continue // beat dropped on the (simulated) floor
-		}
 		ack, err := c.postBeat(node, c.selfBeat())
 		if err != nil {
 			continue // silence ages lastSeen; reap decides
@@ -351,9 +349,9 @@ func (c *Cluster) beatOnce() {
 	}
 }
 
-// ReceiveBeat ingests a peer's heartbeat and answers with our own; the
-// HTTP layer mounts it at POST /api/v1/cluster/heartbeat.
-func (c *Cluster) ReceiveBeat(b Beat) Beat {
+// receiveBeat ingests a peer's heartbeat and answers with our own (POST
+// /api/v1/cluster/heartbeat).
+func (c *Cluster) receiveBeat(b Beat) Beat {
 	c.beatsRecv.Inc()
 	c.observeBeat(b)
 	return c.selfBeat()
@@ -422,7 +420,6 @@ func (c *Cluster) installViewLocked(v View) {
 	for id := range c.peers {
 		if !seen[id] {
 			delete(c.peers, id)
-			c.breakers.forget(id)
 		}
 	}
 	c.epochChanges.Inc()
@@ -431,8 +428,8 @@ func (c *Cluster) installViewLocked(v View) {
 }
 
 // Join announces this node to a running fleet through seed's join
-// endpoint and adopts the returned view. The serve layer calls it at boot
-// (sgxd -join) or on the operator form of POST /api/v1/cluster/join.
+// endpoint and adopts the returned view. sgxd calls it at boot (-join); the
+// operator form of POST /api/v1/cluster/join calls it too.
 func (c *Cluster) Join(seed string) error {
 	c.mu.Lock()
 	if c.leaving || c.departed {
@@ -454,14 +451,11 @@ func (c *Cluster) Join(seed string) error {
 	return nil
 }
 
-// HandleJoin admits a node into the membership (the member side of a
+// admitJoin admits a node into the membership (the member side of a
 // join). It always bumps the epoch past both sides' views — even for an
 // idempotent rejoin — so the joiner's possibly-stale solo view can never
 // win a digest tie against the fleet.
-func (c *Cluster) HandleJoin(n Node, joinerEpoch uint64) (View, error) {
-	if err := c.faults.Fire("cluster.join", n.ID); err != nil {
-		return View{}, err
-	}
+func (c *Cluster) admitJoin(n Node, joinerEpoch uint64) (View, error) {
 	if n.ID == "" || n.Addr == "" {
 		return View{}, errors.New("cluster: join needs id and addr")
 	}
@@ -527,10 +521,7 @@ func (c *Cluster) Leave(ctx context.Context) error {
 		t := time.NewTicker(c.interval)
 		defer t.Stop()
 		for {
-			c.mu.Lock()
-			rebalancing := c.rebal != nil
-			c.mu.Unlock()
-			if !rebalancing && len(c.local.Unsettled(1)) == 0 {
+			if !c.Rebalancing() && len(c.local.Unsettled(1)) == 0 {
 				return nil
 			}
 			select {
@@ -666,19 +657,15 @@ func orSelf(node, self string) string {
 }
 
 // Route decides placement for a content address: serve locally when this
-// node owns the digest, already holds the result (and the client did not
-// Force a recompute), or the owner's circuit breaker is open (degraded
-// mode: local compute beats queueing behind a flapping peer). Otherwise
-// name the owning node. Satisfies the frontdoor.Router seam.
+// node owns the digest or already holds the result (and the client did
+// not Force a recompute); otherwise name the owning node. Satisfies the
+// frontdoor.Router seam.
 func (c *Cluster) Route(key string, force bool) (node string, local bool) {
 	owner := c.ownerOf(key)
 	if owner == c.self.ID || owner == "" {
 		return "", true
 	}
 	if !force && c.local.HasLocal(key) {
-		return "", true
-	}
-	if c.breakers.open(owner) {
 		return "", true
 	}
 	return owner, false
@@ -704,58 +691,47 @@ func (c *Cluster) ownerOf(key string) string {
 	return ring.owner(key, alive, loads)
 }
 
-// Forward sends a submission to nodeID's cluster-submit endpoint, guarded
-// by the per-peer circuit breaker. coalesced reports that the owner
-// attached the submission to an identical in-flight job.
-func (c *Cluster) Forward(nodeID, tenant string, req sched.SubmitRequest, recoveredFrom string) (st sched.JobStatus, coalesced bool, err error) {
-	peer, ok := c.nodeByID(nodeID)
-	if !ok {
-		return sched.JobStatus{}, false, fmt.Errorf("cluster: unknown node %q", nodeID)
-	}
-	if !c.breakers.allow(nodeID) {
-		return sched.JobStatus{}, false, fmt.Errorf("cluster: breaker open for %s", nodeID)
-	}
-	st, coalesced, err = c.forwardSubmit(peer, tenant, req, recoveredFrom)
-	if err != nil {
-		c.breakers.failure(nodeID)
-		return sched.JobStatus{}, false, err
-	}
-	c.breakers.success(nodeID)
-	c.forwarded.Inc()
-	return st, coalesced, nil
-}
-
 // ForwardRetry forwards a submission to node with the single bounded
-// re-route the membership protocol allows: when the first forward fails
-// (the ring may have moved mid-flight, or the owner may be gone), the key
-// is routed once more against the current epoch and the new owner tried
-// once. ok=false tells the caller to admit locally — no job is ever lost
-// to topology churn, and at most two forwards are ever attempted. The
-// returned status names the node that holds the job.
-func (c *Cluster) ForwardRetry(node, tenant string, req sched.SubmitRequest, recoveredFrom string) (st sched.JobStatus, coalesced, ok bool) {
-	st, coalesced, err := c.Forward(node, tenant, req, recoveredFrom)
-	if err == nil {
-		return st, coalesced, true
-	}
-	if next, local := c.Route(req.StoreKey(), req.Force); !local && next != node {
-		if st, coalesced, err2 := c.Forward(next, tenant, req, recoveredFrom); err2 == nil {
-			return st, coalesced, true
+// re-route the membership protocol allows: when the owner cannot take the
+// job (a transport error or a 5xx — the ring may have moved mid-flight, or
+// the owner may be draining or gone), the key is routed once more against
+// the current epoch and the new owner tried once. A nil error means the
+// job landed on the node its status names. A *Rejection is an owner's
+// final answer, for the caller to relay. Any other error tells the caller
+// to admit locally — no job is ever lost to topology churn, and at most
+// two forwards are ever attempted.
+func (c *Cluster) ForwardRetry(node, tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, bool, error) {
+	st, coalesced, err := c.forward(node, tenant, req, recoveredFrom)
+	if err != nil && !isRejection(err) {
+		if next, local := c.Route(req.StoreKey(), req.Force); !local && next != node {
+			st, coalesced, err = c.forward(next, tenant, req, recoveredFrom)
 		}
+	}
+	if err == nil || isRejection(err) {
+		return st, coalesced, err
 	}
 	c.forwardFallback.Inc()
 	c.log.Printf("cluster: forward of %.12s… to %s failed (%v); admitting locally", req.StoreKey(), node, err)
-	return sched.JobStatus{}, false, false
+	return sched.JobStatus{}, false, err
+}
+
+func isRejection(err error) bool {
+	var rej *Rejection
+	return errors.As(err, &rej)
 }
 
 // routeSubmit is the one path that moves a pending job spec between
 // nodes, used by dead-node recovery and by a leaving node's queue handoff:
 // local when this node should serve the digest, forwarded (with the
 // bounded re-route) otherwise, falling back to local when no owner can be
-// reached — the work must not be lost to a second failure.
+// reached — the work must not be lost to a second failure. An owner's
+// rejection comes back as the error: recovery retries the job next tick,
+// and a leaving node drains it itself.
 func (c *Cluster) routeSubmit(tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
 	if node, local := c.Route(req.StoreKey(), req.Force); !local {
-		if st, _, ok := c.ForwardRetry(node, tenant, req, recoveredFrom); ok {
-			return st, nil
+		st, _, err := c.ForwardRetry(node, tenant, req, recoveredFrom)
+		if err == nil || isRejection(err) {
+			return st, err
 		}
 	}
 	return c.local.Admit(tenant, req, recoveredFrom)
@@ -763,15 +739,14 @@ func (c *Cluster) routeSubmit(tenant string, req sched.SubmitRequest, recoveredF
 
 // FetchResult is the peer read-through the result tier consults below its
 // local miss: the digest's owner first (most likely holder), then every
-// other live peer whose breaker admits traffic, one at a time. Only
-// verified bytes come back; corrupt bodies count, log, and keep walking.
-// Satisfies resultier.PeerFetch.
+// other live peer, one at a time. Only verified bytes come back; corrupt
+// bodies count, log, and keep walking. Satisfies resultier.PeerFetch.
 func (c *Cluster) FetchResult(key, version string) ([]byte, store.Meta, bool) {
 	if err := c.faults.Fire("cluster.peer.fetch", key); err != nil {
 		return nil, store.Meta{}, false
 	}
 	for _, node := range c.fetchCandidates(key) {
-		if body, meta, ok := c.fetchPeer(node, key, version); ok {
+		if body, meta, ok := c.fetchFrom(node, key, version); ok {
 			c.peerFetches.Inc()
 			return body, meta, true
 		}
@@ -780,7 +755,7 @@ func (c *Cluster) FetchResult(key, version string) ([]byte, store.Meta, bool) {
 }
 
 // fetchCandidates orders the live peers for a read: owner first, the rest
-// by ID, peers behind an open breaker skipped entirely.
+// by ID.
 func (c *Cluster) fetchCandidates(key string) []Node {
 	owner := c.ownerOf(key)
 	c.mu.Lock()
@@ -799,30 +774,7 @@ func (c *Cluster) fetchCandidates(key string) []Node {
 		}
 	}
 	c.mu.Unlock()
-	open := candidates[:0]
-	for _, n := range candidates {
-		if !c.breakers.open(n.ID) {
-			open = append(open, n)
-		}
-	}
-	return open
-}
-
-// fetchPeer is one breaker-accounted peer fetch. Reachability, not
-// result presence, drives the breaker: a clean 404 (the peer simply lacks
-// the digest) is a healthy answer, only transport and server errors
-// count as failures.
-func (c *Cluster) fetchPeer(node Node, key, version string) ([]byte, store.Meta, bool) {
-	if !c.breakers.allow(node.ID) {
-		return nil, store.Meta{}, false
-	}
-	body, meta, ok, reachable := c.fetchFrom(node, key, version)
-	if reachable {
-		c.breakers.success(node.ID)
-	} else {
-		c.breakers.failure(node.ID)
-	}
-	return body, meta, ok
+	return candidates
 }
 
 // IsMember reports whether id names a node in this node's current
@@ -855,7 +807,6 @@ type NodeStatus struct {
 	Pending    int    `json:"pending"`
 	LastSeenMS int64  `json:"last_seen_ms,omitempty"` // ms since last beat (0 for self)
 	Nonce      string `json:"nonce,omitempty"`
-	Breaker    string `json:"breaker,omitempty"` // "open"/"half-open" when degraded
 }
 
 // Status is the GET /api/v1/cluster/status body.
@@ -867,8 +818,8 @@ type Status struct {
 	Nodes    []NodeStatus `json:"nodes"`
 }
 
-// StatusReport snapshots this node's view of the membership, sorted by ID.
-func (c *Cluster) StatusReport() Status {
+// statusReport snapshots this node's view of the membership, sorted by ID.
+func (c *Cluster) statusReport() Status {
 	queued, _ := c.local.Depth()
 	c.mu.Lock()
 	st := Status{
@@ -896,7 +847,6 @@ func (c *Cluster) StatusReport() Status {
 			Queued:  ps.queued, Pending: len(ps.pending),
 			LastSeenMS: now.Sub(ps.lastSeen).Milliseconds(),
 			Nonce:      ps.nonce,
-			Breaker:    c.breakers.describe(ps.node.ID),
 		})
 	}
 	c.mu.Unlock()
@@ -917,16 +867,16 @@ type NodeQuarantine struct {
 
 // QuarantineReport is the GET /api/v1/cluster/quarantine body: this
 // node's parked jobs plus every peer's last-gossiped quarantine digest,
-// so a poison job parked anywhere is visible (and requeue-able) from any
-// node.
+// so a poison job parked anywhere is visible from any node (and, because
+// its ID names its holder, requeue-able from any node).
 type QuarantineReport struct {
 	Self  string           `json:"self"`
 	Epoch uint64           `json:"epoch"`
 	Nodes []NodeQuarantine `json:"nodes"`
 }
 
-// QuarantineStatus aggregates the fleet-wide quarantine view.
-func (c *Cluster) QuarantineStatus() QuarantineReport {
+// quarantineReport aggregates the fleet-wide quarantine view.
+func (c *Cluster) quarantineReport() QuarantineReport {
 	selfJobs := c.local.Quarantined(maxQuarantineDigest)
 	if selfJobs == nil {
 		selfJobs = []sched.JobStatus{}

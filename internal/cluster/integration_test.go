@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,15 +29,6 @@ import (
 	"sgxbounds/internal/serve"
 	"sgxbounds/internal/serve/store"
 )
-
-// TestServeTenantHeaderPin is the serve-side half of the wire-constant
-// pin: internal/cluster mirrors this header name because importing serve
-// would be a cycle, and its own test pins the mirrored constant.
-func TestServeTenantHeaderPin(t *testing.T) {
-	if serve.TenantHeader != "X-Sgxd-Tenant" {
-		t.Fatalf("serve.TenantHeader = %q; internal/cluster mirrors X-Sgxd-Tenant", serve.TenantHeader)
-	}
-}
 
 // testNode is one in-process clustered daemon.
 type testNode struct {
@@ -56,6 +48,7 @@ type nodeOpts struct {
 	faults      *faultline.Injector
 	maxAttempts int
 	poison      int // first N computes of experiment "table4" panic (transient)
+	inFlight    int // per-tenant in-flight quota (0 = unlimited)
 }
 
 // output is the deterministic result body the stub computes for a spec —
@@ -110,10 +103,11 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 		close(gate)
 	}
 	srv, err := serve.New(serve.Config{
-		Store:       st,
-		Workers:     o.workers,
-		Faults:      o.faults,
-		MaxAttempts: o.maxAttempts,
+		Store:             st,
+		Workers:           o.workers,
+		Faults:            o.faults,
+		MaxAttempts:       o.maxAttempts,
+		TenantMaxInFlight: o.inFlight,
 		Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
 			computes.Add(1)
 			if spec.Experiment == "table4" && poisonLeft.Add(-1) >= 0 {
@@ -234,32 +228,47 @@ func clusterStatus(t *testing.T, base string) cluster.Status {
 // submitVia posts through the public submit endpoint (route-or-serve).
 func submitVia(t *testing.T, base string, req serve.SubmitRequest) serve.JobStatus {
 	t.Helper()
-	st, _ := postSubmit(t, base+"/api/v1/jobs", req)
+	st, _ := postSubmit(t, base, req, nil)
 	return st
 }
 
-// submitPinned posts through the cluster-internal endpoint, which always
-// admits locally — how a forwarded, recovered, or handed-off job arrives,
-// and how tests pin a job onto one specific node.
+// submitPinned posts a submission marked as forwarded, which the node
+// admits without routing — how a forwarded, recovered, or handed-off job
+// arrives, and how tests pin a job onto one specific node.
 func submitPinned(t *testing.T, base string, req serve.SubmitRequest) serve.JobStatus {
 	t.Helper()
-	st, _ := postSubmit(t, base+"/api/v1/cluster/submit", req)
+	st, _ := postSubmit(t, base, req, http.Header{cluster.ForwardedHeader: {"test"}})
 	return st
+}
+
+// sendSubmit posts one submission to base's submit endpoint with the
+// given extra headers; the caller closes the response.
+func sendSubmit(t *testing.T, base string, req serve.SubmitRequest, hdr http.Header) *http.Response {
+	t.Helper()
+	raw, _ := json.Marshal(req)
+	hreq, err := http.NewRequest(http.MethodPost, base+"/api/v1/jobs", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vals := range hdr {
+		hreq.Header[name] = vals
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // postSubmit posts one submission, requires a 201, and returns the job
 // status with the response headers.
-func postSubmit(t *testing.T, url string, req serve.SubmitRequest) (serve.JobStatus, http.Header) {
+func postSubmit(t *testing.T, base string, req serve.SubmitRequest, hdr http.Header) (serve.JobStatus, http.Header) {
 	t.Helper()
-	raw, _ := json.Marshal(req)
-	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := sendSubmit(t, base, req, hdr)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST %s: %s: %s", url, resp.Status, body)
+		t.Fatalf("POST %s/api/v1/jobs: %s: %s", base, resp.Status, body)
 	}
 	var st serve.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -404,19 +413,8 @@ func TestForwardedSubmitKeepsCoalescedHeader(t *testing.T) {
 	})
 	front, owner := nodes[0], nodes[1]
 
-	var req serve.SubmitRequest
-	var first serve.JobStatus
-	for _, spec := range distinctSpecs(32) {
-		st, _ := postSubmit(t, front.url+"/api/v1/jobs", spec)
-		if st.Node == owner.id {
-			req, first = spec, st
-			break
-		}
-	}
-	if first.ID == "" {
-		t.Fatal("no spec out of 32 was placed on n2")
-	}
-	second, hdr := postSubmit(t, front.url+"/api/v1/jobs", req)
+	req, first := firstOwnedBy(t, front, owner)
+	second, hdr := postSubmit(t, front.url, req, nil)
 	if got := hdr.Get(serve.CoalescedHeader); got != "true" {
 		t.Fatalf("forwarded duplicate submit: %s = %q, want \"true\"", serve.CoalescedHeader, got)
 	}
@@ -428,6 +426,132 @@ func TestForwardedSubmitKeepsCoalescedHeader(t *testing.T) {
 	if got, want := fetchResult(t, front.url, first.ID), output(req.Job().Canonical()); got != want {
 		t.Fatalf("coalesced job result %q, want %q", got, want)
 	}
+	// Forwards use the ordinary submit endpoint; there is no peer-only one.
+	if code := postJSON(t, owner.url+"/api/v1/cluster/submit", req, nil); code != http.StatusNotFound {
+		t.Fatalf("POST /api/v1/cluster/submit: HTTP %d, want 404", code)
+	}
+}
+
+// firstOwnedBy submits distinct specs through front until one lands on
+// owner, and returns that spec with its job status.
+func firstOwnedBy(t *testing.T, front, owner *testNode) (serve.SubmitRequest, serve.JobStatus) {
+	t.Helper()
+	for _, spec := range distinctSpecs(32) {
+		if st, _ := postSubmit(t, front.url, spec, nil); st.Node == owner.id {
+			return spec, st
+		}
+	}
+	t.Fatalf("no spec out of 32 was placed on %s", owner.id)
+	return serve.SubmitRequest{}, serve.JobStatus{}
+}
+
+// TestOwnerBackpressureRelayed pins that an owner's 4xx is final: with
+// n2's tenant quota held by one gated job, further n2-owned submissions
+// through n1 answer 429 with Retry-After from n1 instead of being admitted
+// on n1, so the quota holds fleet-wide.
+func TestOwnerBackpressureRelayed(t *testing.T) {
+	nodes := startCluster(t, 2, func(i int) nodeOpts {
+		if i == 1 {
+			return nodeOpts{gated: true, inFlight: 1}
+		}
+		return nodeOpts{}
+	})
+	front, owner := nodes[0], nodes[1]
+	_, held := firstOwnedBy(t, front, owner)
+
+	rejected := map[string]bool{}
+	for _, req := range distinctSpecs(64)[32:44] {
+		resp := sendSubmit(t, front.url, req, nil)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusTooManyRequests:
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("relayed 429 without Retry-After: %s", body)
+			}
+			rejected[req.StoreKey()] = true
+		case http.StatusCreated:
+			var st serve.JobStatus
+			json.Unmarshal(body, &st)
+			if st.Node != front.id {
+				t.Fatalf("job %s admitted on %s while its quota is held", st.ID, st.Node)
+			}
+		default:
+			t.Fatalf("submit through %s: %s: %s", front.id, resp.Status, body)
+		}
+	}
+	if len(rejected) == 0 {
+		t.Fatal("no n2-owned submission was refused: the owner's backpressure did not reach the client")
+	}
+	var list []serve.JobStatus
+	getJSON(t, front.url+"/api/v1/jobs", &list)
+	for _, st := range list {
+		if rejected[st.Key] {
+			t.Fatalf("%s holds job %s for a submission its owner refused", front.id, st.ID)
+		}
+	}
+	if v := metricValue(metricsText(t, front.url), "sgxd_cluster_forward_fallback_total"); v != 0 {
+		t.Fatalf("sgxd_cluster_forward_fallback_total = %v, want 0 (a refusal is not a fallback)", v)
+	}
+	owner.release()
+	waitDone(t, front.url, held.ID)
+}
+
+// TestProxiedCancelNamesHolder cancels an n2 job through n1: the proxied
+// answer carries n2's node stamp, like every other job route, and the job
+// ends cancelled.
+func TestProxiedCancelNamesHolder(t *testing.T) {
+	nodes := startCluster(t, 2, func(i int) nodeOpts { return nodeOpts{gated: i == 1} })
+	front, owner := nodes[0], nodes[1]
+	_, st := firstOwnedBy(t, front, owner)
+
+	hreq, _ := http.NewRequest(http.MethodDelete, front.url+"/api/v1/jobs/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got serve.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("DELETE via %s: %s (%v)", front.id, resp.Status, err)
+	}
+	if got.Node != owner.id {
+		t.Fatalf("cancel answered node %q, want %q", got.Node, owner.id)
+	}
+	fin := waitTerminal(t, front.url, st.ID, 10*time.Second)
+	if fin.State != serve.StateCanceled {
+		t.Fatalf("cancelled job settled %s, want %s", fin.State, serve.StateCanceled)
+	}
+}
+
+// TestOversizedBodiesRejected sends a valid submission and a valid
+// heartbeat, each padded past its cap: each gets a 4xx, and the node stays
+// ready and serving.
+func TestOversizedBodiesRejected(t *testing.T) {
+	node := startCluster(t, 1, nil)[0]
+	for _, c := range []struct {
+		path, head string
+		limit      int
+	}{
+		{"/api/v1/jobs", `{"experiment": "fig2"`, 1 << 20},
+		{"/api/v1/cluster/heartbeat", `{"from": "n1"`, 8 << 20},
+	} {
+		body := c.head + strings.Repeat(" ", c.limit) + "}"
+		resp, err := http.Post(node.url+c.path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode < 400 || resp.StatusCode >= 500 {
+			t.Fatalf("POST %s with a %d-byte body: %s, want 4xx", c.path, len(body), resp.Status)
+		}
+	}
+	if code := getJSON(t, node.url+"/readyz", nil); code != http.StatusOK {
+		t.Fatalf("/readyz after oversized bodies: HTTP %d", code)
+	}
+	waitDone(t, node.url, submitVia(t, node.url, serve.SubmitRequest{Experiment: "fig2"}).ID)
 }
 
 // TestPeerFetchReadThrough pins the replication path: a digest computed on

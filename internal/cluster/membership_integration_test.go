@@ -279,8 +279,8 @@ func TestEpochRaceSubmitsLandExactlyOnce(t *testing.T) {
 // TestQuarantineFleetVisibilityAndRemoteRequeue pins cross-node
 // quarantine: a job parked on one node shows up in every node's
 // fleet-wide quarantine view via heartbeat gossip, a requeue issued
-// against a *different* node proxies to the holder, and the released job
-// runs clean to the oracle bytes.
+// against a *different* node proxies to the holder (the job ID names it),
+// and the released job runs clean to the oracle bytes.
 func TestQuarantineFleetVisibilityAndRemoteRequeue(t *testing.T) {
 	nodes := startCluster(t, 3, func(i int) nodeOpts {
 		if i == 1 {
@@ -327,9 +327,12 @@ func TestQuarantineFleetVisibilityAndRemoteRequeue(t *testing.T) {
 		Quarantined serve.JobStatus `json:"quarantined"`
 		Requeued    serve.JobStatus `json:"requeued"`
 	}
-	requeueURL := viewer.url + "/api/v1/cluster/quarantine/" + holder.id + "/" + st.ID + "/requeue"
-	if code := postJSON(t, requeueURL, map[string]string{}, &rel); code != http.StatusOK {
-		t.Fatalf("cluster requeue: HTTP %d", code)
+	peerURL := viewer.url + "/api/v1/cluster/quarantine/" + holder.id + "/" + st.ID + "/requeue"
+	if code := postJSON(t, peerURL, map[string]string{}, nil); code != http.StatusNotFound {
+		t.Fatalf("POST %s: HTTP %d, want 404", peerURL, code)
+	}
+	if code := postJSON(t, viewer.url+"/api/v1/quarantine/"+st.ID+"/requeue", map[string]string{}, &rel); code != http.StatusOK {
+		t.Fatalf("requeue via %s: HTTP %d", viewer.id, code)
 	}
 	if rel.Quarantined.RequeuedAs != rel.Requeued.ID {
 		t.Fatalf("requeued_as = %q, want %q", rel.Quarantined.RequeuedAs, rel.Requeued.ID)

@@ -22,9 +22,15 @@ func (nopLocal) HasLocal(string) bool              { return false }
 func (nopLocal) Cancel(string) bool                { return false }
 func (nopLocal) BeginDrain()                       {}
 func (nopLocal) Quarantined(int) []sched.JobStatus { return nil }
-func (nopLocal) Manifest() []string                { return nil }
-func (nopLocal) LoadResult(string) ([]byte, store.Meta, bool) {
-	return nil, store.Meta{}, false
+
+// tempStore opens an empty store under the test's temp dir.
+func tempStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func TestParsePeersInline(t *testing.T) {
@@ -86,17 +92,8 @@ func TestParsePeersErrors(t *testing.T) {
 }
 
 func TestNewRejectsUnknownSelf(t *testing.T) {
-	_, err := New(Config{Self: "ghost", Nodes: []Node{{ID: "n1", Addr: "http://a:1"}}, Local: nopLocal{}})
+	_, err := New(Config{Self: "ghost", Nodes: []Node{{ID: "n1", Addr: "http://a:1"}}, Local: nopLocal{}, Store: tempStore(t)})
 	if err == nil {
 		t.Fatal("New accepted a Self absent from Nodes")
-	}
-}
-
-// TestTenantHeaderName pins the wire constant the cluster layer mirrors
-// from the serve package (which it cannot import without a cycle); the
-// serve-side pin lives in the integration tests.
-func TestTenantHeaderName(t *testing.T) {
-	if tenantHeader != "X-Sgxd-Tenant" {
-		t.Fatalf("tenantHeader = %q, want X-Sgxd-Tenant (must match serve.TenantHeader)", tenantHeader)
 	}
 }

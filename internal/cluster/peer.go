@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,24 +12,40 @@ import (
 	"net/url"
 	"time"
 
+	"sgxbounds/internal/bench"
 	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
-// Wire headers for node-to-node requests. tenantHeader must match
-// serve.TenantHeader (serve cannot be imported here — it imports this
-// package); the serve tests pin the two constants together.
+// Wire headers, defined once for both ends of every request that carries
+// them (serve aliases the client-visible ones).
 const (
-	tenantHeader = "X-Sgxd-Tenant"
-	// RecoveredHeader carries the dead node's ID on a cluster submit that
-	// re-enqueues its journaled work, so the receiving node can annotate
-	// the adopted job (JobStatus.RecoveredFrom).
+	// TenantHeader names the submitting tenant for quota and rate-limit
+	// accounting; a forwarded submission carries it to the owner.
+	TenantHeader = "X-Sgxd-Tenant"
+	// ForwardedHeader marks a submission that a peer forwarded to the
+	// digest's owner; its value names the sender. The owner admits it
+	// without routing it again: one hop is the protocol.
+	ForwardedHeader = "X-Sgxd-Forwarded"
+	// RecoveredHeader carries the dead node's ID on a forwarded submission
+	// that re-enqueues its journaled work, so the receiving node can
+	// annotate the adopted job (JobStatus.RecoveredFrom).
 	RecoveredHeader = "X-Sgxd-Recovered-From"
 	// CoalescedHeader is set to "true" on a submit response that attached
 	// to an identical in-flight computation instead of starting its own.
 	// The owner sets it on a forwarded submit, and the forwarding node
-	// passes it on to its client (serve.CoalescedHeader is this name).
+	// passes it on to its client.
 	CoalescedHeader = "X-Sgxd-Coalesced"
+)
+
+// Body caps. A handler reads a request body up to the cap its client side
+// reads the matching reply with.
+const (
+	// MaxSubmitBody caps a submission (POST /api/v1/jobs), the job status
+	// a forward reads back, and a join announcement.
+	MaxSubmitBody = 1 << 20
+	maxBeatBody   = 8 << 20   // a heartbeat, its answering beat, a view
+	maxResultBody = 256 << 20 // a result envelope, fetched or pushed
 )
 
 // Beat is one heartbeat: liveness plus the piggybacked state the cluster
@@ -51,13 +68,23 @@ type Beat struct {
 	Unix       int64              `json:"unix"`
 }
 
-// joinRequest is the node-to-node wire form of a join: the joiner's
-// identity plus its current epoch, so the admitting member can bump past
-// both sides' views (see Cluster.HandleJoin).
+// joinRequest is the body of POST /api/v1/cluster/join, in two forms. A
+// joining node announces itself with its identity and current epoch, so
+// the admitting member can bump past both sides' views (see admitJoin). An
+// operator (sgxctl cluster join) sends only Seed, to tell this node to
+// join the fleet at that URL.
 type joinRequest struct {
 	ID    string `json:"id"`
 	Addr  string `json:"addr"`
 	Epoch uint64 `json:"epoch,omitempty"`
+	Seed  string `json:"seed,omitempty"`
+}
+
+// replicateAck answers a pushed result: Stored is false when the receiver
+// already held it (or it names another simulator version), which still
+// completes the transfer.
+type replicateAck struct {
+	Stored bool `json:"stored"`
 }
 
 // ResultEnvelope is the peer result wire form: the store metadata plus
@@ -68,6 +95,159 @@ type ResultEnvelope struct {
 	Meta store.Meta `json:"meta"`
 	Body []byte     `json:"body"`
 }
+
+// Verify re-checks an envelope against its own metadata: receiver-side
+// trust boundary for pushed (re-replicated) results, mirroring what
+// fetchFrom enforces for pulled ones.
+func (e ResultEnvelope) Verify() bool {
+	return verifyEnvelope(e.Meta.Key, e.Meta.Version, e.Body, e.Meta)
+}
+
+// verifyEnvelope is the cross-node trust boundary: peer bytes enter the
+// local cache tier only if the metadata names exactly the key and
+// simulator version we asked for and the body hashes to the recorded
+// checksum.
+func verifyEnvelope(key, version string, body []byte, meta store.Meta) bool {
+	if meta.Key != key || meta.Version != version || meta.Size != int64(len(body)) {
+		return false
+	}
+	sum := sha256.Sum256(body)
+	return hex.EncodeToString(sum[:]) == meta.BodySHA256
+}
+
+// Rejection is an owner's final answer to a forwarded submission: a 4xx
+// such as backpressure (429) or an invalid request. The forwarding node
+// relays it to its client instead of admitting the job itself, so the
+// owner's quotas and backpressure hold fleet-wide.
+type Rejection struct {
+	Node       string // the owner that refused
+	Code       int    // its HTTP status
+	Message    string // its error text
+	RetryAfter string // its Retry-After header, if any
+}
+
+func (r *Rejection) Error() string {
+	return fmt.Sprintf("cluster: %s refused the submission: %d %s", r.Node, r.Code, r.Message)
+}
+
+// ---- server side ----
+
+// Register mounts the peer endpoints on mux. Peers call heartbeat,
+// results, join and replicate; operators call status, join (the seed
+// form), leave and quarantine.
+func (c *Cluster) Register(mux *http.ServeMux) {
+	mux.HandleFunc("GET /api/v1/cluster/status", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, c.statusReport())
+	})
+	mux.HandleFunc("POST /api/v1/cluster/heartbeat", c.serveBeat)
+	mux.HandleFunc("GET /api/v1/cluster/results/{key}", c.serveResult)
+	mux.HandleFunc("POST /api/v1/cluster/join", c.serveJoin)
+	mux.HandleFunc("POST /api/v1/cluster/leave", c.serveLeave)
+	mux.HandleFunc("POST /api/v1/cluster/replicate", c.serveReplicate)
+	mux.HandleFunc("GET /api/v1/cluster/quarantine", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, c.quarantineReport())
+	})
+}
+
+func (c *Cluster) serveBeat(w http.ResponseWriter, r *http.Request) {
+	var b Beat
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBeatBody)).Decode(&b); err != nil {
+		writeError(w, http.StatusBadRequest, "bad heartbeat body: %v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, c.receiveBeat(b))
+}
+
+// serveResult serves a verified result body to a peer. It reads the raw
+// disk store — the cluster never holds the read-through tier — so two
+// nodes missing the same digest can never chase each other in a fetch
+// cycle. The store's Get re-verifies checksum and version on the way out;
+// the fetching side re-verifies again on arrival.
+func (c *Cluster) serveResult(w http.ResponseWriter, r *http.Request) {
+	key := r.PathValue("key")
+	version := r.URL.Query().Get("version")
+	if version == "" {
+		version = bench.SimVersion
+	}
+	body, meta, ok := c.store.Get(key, version)
+	if !ok {
+		writeError(w, http.StatusNotFound, "no verified result for %q", key)
+		return
+	}
+	writeJSON(w, http.StatusOK, ResultEnvelope{Meta: meta, Body: body})
+}
+
+// serveJoin admits membership churn: a joiner's announcement gets the
+// fleet view back; the operator's seed form makes this node join the fleet
+// at seed and answers with the resulting status.
+func (c *Cluster) serveJoin(w http.ResponseWriter, r *http.Request) {
+	var req joinRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBody)).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad join body: %v", err)
+		return
+	}
+	if req.Seed != "" {
+		if err := c.Join(req.Seed); err != nil {
+			writeError(w, http.StatusBadGateway, "%v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, c.statusReport())
+		return
+	}
+	v, err := c.admitJoin(Node{ID: req.ID, Addr: req.Addr}, req.Epoch)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
+// serveLeave starts a graceful departure: ring-excluded drain, queue
+// handoff, final epoch without this node. The drain runs in the background
+// (it can take as long as the running jobs do); the operator polls
+// /api/v1/cluster/status until departed.
+func (c *Cluster) serveLeave(w http.ResponseWriter, r *http.Request) {
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+		defer cancel()
+		if err := c.Leave(ctx); err != nil {
+			c.log.Printf("cluster: leave failed: %v", err)
+		}
+	}()
+	writeJSON(w, http.StatusAccepted, map[string]string{"status": "leaving"})
+}
+
+// serveReplicate is the receiving side of epoch-change re-replication: a
+// peer pushes a result this node now owns. The envelope is re-verified
+// against its own metadata and pinned to the running simulator version
+// before anything touches disk; a result already held acks stored=false so
+// the pusher's resumable scan completes without re-transferring.
+func (c *Cluster) serveReplicate(w http.ResponseWriter, r *http.Request) {
+	var env ResultEnvelope
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultBody)).Decode(&env); err != nil {
+		writeError(w, http.StatusBadRequest, "bad replicate body: %v", err)
+		return
+	}
+	if env.Meta.Version != bench.SimVersion {
+		writeJSON(w, http.StatusOK, replicateAck{})
+		return
+	}
+	if !env.Verify() {
+		writeError(w, http.StatusBadRequest, "replicate envelope failed verification")
+		return
+	}
+	if _, ok := c.store.Stat(env.Meta.Key); ok {
+		writeJSON(w, http.StatusOK, replicateAck{})
+		return
+	}
+	if err := c.store.Put(env.Meta.Key, env.Body, env.Meta); err != nil {
+		writeError(w, http.StatusInternalServerError, "replicate store: %v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, replicateAck{Stored: true})
+}
+
+// ---- client side ----
 
 // postBeat sends our beat to peer and returns its answering beat.
 func (c *Cluster) postBeat(peer Node, b Beat) (Beat, error) {
@@ -84,7 +264,7 @@ func (c *Cluster) postBeat(peer Node, b Beat) (Beat, error) {
 		return Beat{}, fmt.Errorf("cluster: heartbeat to %s: %s", peer.ID, resp.Status)
 	}
 	var ack Beat
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&ack); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBeatBody)).Decode(&ack); err != nil {
 		return Beat{}, err
 	}
 	return ack, nil
@@ -93,40 +273,28 @@ func (c *Cluster) postBeat(peer Node, b Beat) (Beat, error) {
 // fetchFrom asks one peer for a verified result body. The envelope is
 // re-verified here — checksum, size, key, and SimVersion — because the
 // wire (or a buggy peer) can corrupt what the peer's disk store verified;
-// the "cluster.peer.body" bitflip site models exactly that. reachable
-// distinguishes a healthy answer (200 or a clean 404 miss) from a
-// transport or server failure — only the latter feeds the peer's circuit
-// breaker.
-func (c *Cluster) fetchFrom(peer Node, key, version string) (body []byte, meta store.Meta, ok, reachable bool) {
+// the "cluster.peer.body" bitflip site models exactly that. Any failure is
+// a miss: whether the peer is usable is for heartbeats to decide.
+func (c *Cluster) fetchFrom(peer Node, key, version string) (body []byte, meta store.Meta, ok bool) {
 	resp, err := c.client.Get(peer.Addr + "/api/v1/cluster/results/" + key + "?version=" + url.QueryEscape(version))
 	if err != nil {
-		return nil, store.Meta{}, false, false
+		return nil, store.Meta{}, false
 	}
 	defer drainClose(resp.Body)
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, store.Meta{}, false, true
-	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, store.Meta{}, false, false
+		return nil, store.Meta{}, false
 	}
 	var env ResultEnvelope
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&env); err != nil {
-		return nil, store.Meta{}, false, false
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxResultBody)).Decode(&env); err != nil {
+		return nil, store.Meta{}, false
 	}
 	raw := c.faults.Mutate("cluster.peer.body", key, env.Body)
 	if !verifyEnvelope(key, version, raw, env.Meta) {
 		c.peerCorrupt.Inc()
 		c.log.Printf("cluster: result %.12s… from %s failed verification; treating as miss", key, peer.ID)
-		return nil, store.Meta{}, false, true
+		return nil, store.Meta{}, false
 	}
-	return raw, env.Meta, true, true
-}
-
-// Verify re-checks an envelope against its own metadata: receiver-side
-// trust boundary for pushed (re-replicated) results, mirroring what
-// fetchFrom enforces for pulled ones.
-func (e ResultEnvelope) Verify() bool {
-	return verifyEnvelope(e.Meta.Key, e.Meta.Version, e.Body, e.Meta)
+	return raw, env.Meta, true
 }
 
 // postJoin announces node n (at epoch) to seed's join endpoint and
@@ -145,7 +313,7 @@ func (c *Cluster) postJoin(seed string, n Node, epoch uint64) (View, error) {
 		return View{}, fmt.Errorf("cluster: join via %s: %s: %s", seed, resp.Status, readErrorBody(resp.Body))
 	}
 	var v View
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&v); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBeatBody)).Decode(&v); err != nil {
 		return View{}, err
 	}
 	return v, nil
@@ -171,85 +339,81 @@ func (c *Cluster) pushResult(peer Node, env ResultEnvelope) (stored bool, err er
 	if resp.StatusCode != http.StatusOK {
 		return false, fmt.Errorf("cluster: replicate to %s: %s: %s", peer.ID, resp.Status, readErrorBody(resp.Body))
 	}
-	var ack struct {
-		Stored bool `json:"stored"`
-	}
+	var ack replicateAck
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ack); err != nil {
 		return false, err
 	}
 	return ack.Stored, nil
 }
 
-// verifyEnvelope is the cross-node trust boundary: peer bytes enter the
-// local cache tier only if the metadata names exactly the key and
-// simulator version we asked for and the body hashes to the recorded
-// checksum.
-func verifyEnvelope(key, version string, body []byte, meta store.Meta) bool {
-	if meta.Key != key || meta.Version != version || meta.Size != int64(len(body)) {
-		return false
+// forward sends a submission to nodeID, the digest's owner, through its
+// ordinary submit endpoint marked with ForwardedHeader, and returns the
+// owner's job status and coalesced flag. A 4xx answer is final and comes
+// back as a *Rejection; a transport error or any other status means the
+// owner could not take the job.
+func (c *Cluster) forward(nodeID, tenant string, req sched.SubmitRequest, recoveredFrom string) (st sched.JobStatus, coalesced bool, err error) {
+	peer, ok := c.nodeByID(nodeID)
+	if !ok {
+		return st, false, fmt.Errorf("cluster: unknown node %q", nodeID)
 	}
-	sum := sha256.Sum256(body)
-	return hex.EncodeToString(sum[:]) == meta.BodySHA256
-}
-
-// forwardSubmit routes one submission to its owning node's cluster-submit
-// endpoint and returns the owner's job status and coalesced flag.
-func (c *Cluster) forwardSubmit(peer Node, tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, bool, error) {
 	raw, err := json.Marshal(req)
 	if err != nil {
-		return sched.JobStatus{}, false, err
+		return st, false, err
 	}
-	hreq, err := http.NewRequest(http.MethodPost, peer.Addr+"/api/v1/cluster/submit", bytes.NewReader(raw))
+	hreq, err := http.NewRequest(http.MethodPost, peer.Addr+"/api/v1/jobs", bytes.NewReader(raw))
 	if err != nil {
-		return sched.JobStatus{}, false, err
+		return st, false, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set(ForwardedHeader, c.self.ID)
 	if tenant != "" {
-		hreq.Header.Set(tenantHeader, tenant)
+		hreq.Header.Set(TenantHeader, tenant)
 	}
 	if recoveredFrom != "" {
 		hreq.Header.Set(RecoveredHeader, recoveredFrom)
 	}
 	resp, err := c.client.Do(hreq)
 	if err != nil {
-		return sched.JobStatus{}, false, err
+		return st, false, err
 	}
 	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusCreated {
-		return sched.JobStatus{}, false, fmt.Errorf("cluster: submit to %s: %s: %s", peer.ID, resp.Status, readErrorBody(resp.Body))
+	switch {
+	case resp.StatusCode == http.StatusCreated:
+	case resp.StatusCode >= 400 && resp.StatusCode < 500:
+		return st, false, &Rejection{Node: nodeID, Code: resp.StatusCode,
+			Message: readErrorBody(resp.Body), RetryAfter: resp.Header.Get("Retry-After")}
+	default:
+		return st, false, fmt.Errorf("cluster: submit to %s: %s: %s", nodeID, resp.Status, readErrorBody(resp.Body))
 	}
-	var st sched.JobStatus
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, MaxSubmitBody)).Decode(&st); err != nil {
 		return sched.JobStatus{}, false, err
 	}
+	c.forwarded.Inc()
 	return st, resp.Header.Get(CoalescedHeader) == "true", nil
 }
 
 // ProxyJob forwards an HTTP request for another node's job (status,
-// result, progress, profile, cancel) to the node that holds it, streaming
-// the response back. The response is always written: either the peer's, or a
-// 502 explaining why the peer could not answer.
+// result, progress, profile, cancel, requeue) to the node that holds it,
+// streaming the response back. The response is always written: either the
+// peer's, or a 502 explaining why the peer could not answer.
 func (c *Cluster) ProxyJob(w http.ResponseWriter, r *http.Request, nodeID string) {
-	c.ProxyPath(w, r, nodeID, r.URL.Path)
-}
-
-// ProxyPath forwards the request to nodeID at an explicit path (the
-// cross-node requeue endpoint rewrites the path; ProxyJob keeps it).
-func (c *Cluster) ProxyPath(w http.ResponseWriter, r *http.Request, nodeID, path string) {
 	peer, ok := c.nodeByID(nodeID)
 	if !ok {
-		writeProxyError(w, http.StatusBadGateway, fmt.Sprintf("request routed to unknown node %q", nodeID))
+		writeError(w, http.StatusBadGateway, "request routed to unknown node %q", nodeID)
 		return
 	}
-	hreq, err := http.NewRequest(r.Method, peer.Addr+path+querySuffix(r), nil)
+	target := peer.Addr + r.URL.Path
+	if r.URL.RawQuery != "" {
+		target += "?" + r.URL.RawQuery
+	}
+	hreq, err := http.NewRequestWithContext(r.Context(), r.Method, target, nil)
 	if err != nil {
-		writeProxyError(w, http.StatusBadGateway, err.Error())
+		writeError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	hreq = hreq.WithContext(r.Context())
 	resp, err := c.client.Do(hreq)
 	if err != nil {
-		writeProxyError(w, http.StatusBadGateway, fmt.Sprintf("node %s unreachable: %v", nodeID, err))
+		writeError(w, http.StatusBadGateway, "node %s unreachable: %v", nodeID, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -258,13 +422,6 @@ func (c *Cluster) ProxyPath(w http.ResponseWriter, r *http.Request, nodeID, path
 	}
 	w.WriteHeader(resp.StatusCode)
 	flushCopy(w, resp.Body)
-}
-
-func querySuffix(r *http.Request) string {
-	if r.URL.RawQuery == "" {
-		return ""
-	}
-	return "?" + r.URL.RawQuery
 }
 
 // flushCopy streams body to w, flushing after every chunk so proxied
@@ -288,10 +445,18 @@ func flushCopy(w http.ResponseWriter, body io.Reader) {
 	}
 }
 
-func writeProxyError(w http.ResponseWriter, code int, msg string) {
+// writeJSON and writeError render bodies exactly as the rest of sgxd's
+// API does: indented JSON, errors as {"error": ...}.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
+func writeError(w http.ResponseWriter, code int, format string, args ...any) {
+	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func readErrorBody(r io.Reader) string {

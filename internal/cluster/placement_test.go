@@ -122,7 +122,7 @@ func TestRecovererElection(t *testing.T) {
 		{ID: "n3", Addr: "http://127.0.0.1:3"},
 	}
 	build := func(self string) *Cluster {
-		c, err := New(Config{Self: self, Nodes: nodes, Local: nopLocal{}})
+		c, err := New(Config{Self: self, Nodes: nodes, Local: nopLocal{}, Store: tempStore(t)})
 		if err != nil {
 			t.Fatal(err)
 		}

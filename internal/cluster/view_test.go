@@ -85,7 +85,7 @@ func newViewTestCluster(t *testing.T, self string, ids ...string) *Cluster {
 	for i, id := range ids {
 		nodes[i] = Node{ID: id, Addr: "http://" + id + ":1"}
 	}
-	c, err := New(Config{Self: self, Nodes: nodes, Local: nopLocal{}, Metrics: telemetry.NewRegistry()})
+	c, err := New(Config{Self: self, Nodes: nodes, Local: nopLocal{}, Store: tempStore(t), Metrics: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMergeViewInstallsPeersAndRing(t *testing.T) {
 // race) against the fleet.
 func TestHandleJoinBumpsPastJoinerEpoch(t *testing.T) {
 	c := newViewTestCluster(t, "n1", "n1", "n2")
-	v, err := c.HandleJoin(Node{ID: "n3", Addr: "http://n3:1"}, 41)
+	v, err := c.admitJoin(Node{ID: "n3", Addr: "http://n3:1"}, 41)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestHandleJoinBumpsPastJoinerEpoch(t *testing.T) {
 	}
 	// Idempotent rejoin still bumps (same rule, no special case to get
 	// subtly wrong).
-	v2, err := c.HandleJoin(Node{ID: "n3", Addr: "http://n3:1"}, 0)
+	v2, err := c.admitJoin(Node{ID: "n3", Addr: "http://n3:1"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +170,16 @@ func TestHandleJoinBumpsPastJoinerEpoch(t *testing.T) {
 
 func TestHandleJoinRejectsBadNodes(t *testing.T) {
 	c := newViewTestCluster(t, "n1", "n1", "n2")
-	if _, err := c.HandleJoin(Node{ID: "", Addr: "http://x:1"}, 0); err == nil {
+	if _, err := c.admitJoin(Node{ID: "", Addr: "http://x:1"}, 0); err == nil {
 		t.Fatal("join admitted an empty ID")
 	}
-	if _, err := c.HandleJoin(Node{ID: "n3", Addr: ""}, 0); err == nil {
+	if _, err := c.admitJoin(Node{ID: "n3", Addr: ""}, 0); err == nil {
 		t.Fatal("join admitted an empty addr")
 	}
-	if _, err := c.HandleJoin(Node{ID: "n1", Addr: "http://evil:1"}, 0); err == nil {
+	if _, err := c.admitJoin(Node{ID: "n1", Addr: "http://evil:1"}, 0); err == nil {
 		t.Fatal("join admitted this node's own ID")
 	}
-	if _, err := c.HandleJoin(Node{ID: "n3", Addr: "ftp://bad"}, 0); err == nil {
+	if _, err := c.admitJoin(Node{ID: "n3", Addr: "ftp://bad"}, 0); err == nil {
 		t.Fatal("join admitted a non-http addr")
 	}
 }

@@ -9,15 +9,13 @@
 // into code by naming fault sites: the store fires "store.write.body",
 // "store.read.meta", ...; the serve layer fires "engine.cell" per executed
 // cell and "crash.<point>" at named barriers; the cluster layer fires
-// "cluster.heartbeat" per outgoing beat, "cluster.peer.fetch" and
-// "cluster.peer.body" around the peer read-through (error → miss, bitflip
-// → corrupt-on-the-wire), "cluster.join" on join admission (error → the
-// joiner is refused and retries), "cluster.rebalance" per re-replication
-// scan step (error → the scan stalls one tick), and
-// "cluster.peer.replicate" on each pushed result (error → the push fails
-// and retries under the breaker). A Rule matches a site by op
-// pattern (exact, or a trailing-* prefix glob) and optionally by a
-// substring of the site's detail (a store key, a cell label), then fires
+// "cluster.peer.fetch" and "cluster.peer.body" around the peer
+// read-through (error → miss, bitflip → corrupt-on-the-wire), and
+// "cluster.peer.replicate" on each pushed result (error → the push fails;
+// it is retried next tick, up to 3 times in a row, then skipped). A Rule
+// matches a site by op pattern (exact, or a trailing-* prefix glob) and
+// optionally by a substring of the site's detail (a store key, a cell
+// label), then fires
 // with a deterministic pseudo-random decision derived from (seed, rule,
 // hit count) — no wall clock, no global rand — so a given spec produces
 // the same fault sequence against the same operation stream every time.

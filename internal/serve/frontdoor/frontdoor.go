@@ -9,8 +9,8 @@
 // The layer is deliberately transport-free: it speaks SubmitRequest in
 // and (*sched.Job, typed rejection) out. The HTTP server maps the
 // rejections onto status codes (ErrDraining → 503, everything else →
-// 429 + Retry-After); a future cluster front end would map them onto its
-// own wire form.
+// 429 + Retry-After). In a cluster, admission runs on the digest's owner,
+// and a forwarding node relays the owner's 429 to its client unchanged.
 package frontdoor
 
 import (

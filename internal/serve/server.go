@@ -27,12 +27,12 @@ import (
 
 // TenantHeader names the request header that identifies the submitting
 // tenant for quota and rate-limit accounting. Absent means DefaultTenant.
-const TenantHeader = "X-Sgxd-Tenant"
+// Wire header names are defined once, in the cluster layer, which carries
+// them on forwarded submissions.
+const TenantHeader = cluster.TenantHeader
 
 // CoalescedHeader is set to "true" on a submit response that attached to
-// an identical in-flight computation instead of starting its own. The
-// name is defined once, in the cluster layer, which reads it back from a
-// forwarded submit's owner.
+// an identical in-flight computation instead of starting its own.
 const CoalescedHeader = cluster.CoalescedHeader
 
 // DefaultTenant is the accounting bucket for requests with no tenant
@@ -225,6 +225,7 @@ func New(cfg Config) (*Server, error) {
 			Heartbeat: cfg.Cluster.Heartbeat,
 			DeadAfter: cfg.Cluster.DeadAfter,
 			Local:     clusterLocal{s},
+			Store:     cfg.Store,
 			Metrics:   metrics,
 			Faults:    cfg.Faults,
 			Log:       cfg.Log,
@@ -266,15 +267,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cluster.Stop()
 	}
 	return s.sched.Shutdown(ctx)
-}
-
-// ClusterStatus returns this node's view of the cluster membership;
-// ok=false outside cluster mode.
-func (s *Server) ClusterStatus() (cluster.Status, bool) {
-	if s.cluster == nil {
-		return cluster.Status{}, false
-	}
-	return s.cluster.StatusReport(), true
 }
 
 // Admit routes one submission through the admission layer: validation,
@@ -360,14 +352,17 @@ func (l clusterLocal) Admit(tenant string, req SubmitRequest, recoveredFrom stri
 	if err != nil {
 		return sched.JobStatus{}, err
 	}
-	// A coalesced follower attached to someone else's job; marking that
-	// job as an adoption would miscount recoveries.
+	markRecovered(j, coalesced, recoveredFrom)
+	return l.s.statusOf(j), nil
+}
+
+// markRecovered annotates a job that adopts a dead peer's journaled work.
+// A coalesced follower attached to someone else's job; marking that job
+// as an adoption would miscount recoveries.
+func markRecovered(j *sched.Job, coalesced bool, recoveredFrom string) {
 	if recoveredFrom != "" && !coalesced {
 		j.SetRecoveredFrom(recoveredFrom)
 	}
-	st := j.Status()
-	l.s.stampNode(&st)
-	return st, nil
 }
 
 func (l clusterLocal) Depth() (int, int)                    { return l.s.sched.Depth() }
@@ -389,29 +384,6 @@ func (l clusterLocal) Quarantined(max int) []sched.JobStatus {
 	return all
 }
 
-// Manifest lists this node's stored result keys for the running simulator
-// version — the scan set for epoch-change re-replication.
-func (l clusterLocal) Manifest() []string {
-	keys, err := l.s.store.Keys()
-	if err != nil {
-		return nil
-	}
-	current := keys[:0]
-	for _, key := range keys {
-		if meta, ok := l.s.store.Stat(key); ok && meta.Version == bench.SimVersion {
-			current = append(current, key)
-		}
-	}
-	return current
-}
-
-// LoadResult reads one verified result from the raw disk tier (the push
-// side of re-replication; never the peer-fetch path, so replication can
-// never recurse into itself).
-func (l clusterLocal) LoadResult(key string) ([]byte, store.Meta, bool) {
-	return l.s.store.Get(key, bench.SimVersion)
-}
-
 // HasLocal is the router's "serve it here" probe: memory first (no IO),
 // then a meta-only disk stat. Version-pinned to the running simulator, so
 // a stale entry never short-circuits routing.
@@ -429,6 +401,13 @@ func (s *Server) stampNode(st *JobStatus) {
 	if s.cluster != nil {
 		st.Node = s.cluster.Self()
 	}
+}
+
+// statusOf is a local job's node-stamped wire status.
+func (s *Server) statusOf(j *sched.Job) JobStatus {
+	st := j.Status()
+	s.stampNode(&st)
+	return st
 }
 
 // ---- HTTP layer ----
@@ -455,19 +434,15 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/jobs/{id}/profile", s.handleProfile)
 	s.mux.HandleFunc("POST /api/v1/gc", s.handleGC)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Cluster peer endpoints (404 outside cluster mode): node-to-node
-	// heartbeats, verified result fetch, owner-side submit, the
-	// re-replication seam, membership churn (join/leave), and the
-	// operator-facing membership and fleet-wide quarantine views.
-	s.mux.HandleFunc("GET /api/v1/cluster/status", s.handleClusterStatus)
-	s.mux.HandleFunc("POST /api/v1/cluster/heartbeat", s.handleClusterHeartbeat)
-	s.mux.HandleFunc("GET /api/v1/cluster/results/{key}", s.handleClusterResult)
-	s.mux.HandleFunc("POST /api/v1/cluster/submit", s.handleClusterSubmit)
-	s.mux.HandleFunc("POST /api/v1/cluster/join", s.handleClusterJoin)
-	s.mux.HandleFunc("POST /api/v1/cluster/leave", s.handleClusterLeave)
-	s.mux.HandleFunc("POST /api/v1/cluster/replicate", s.handleClusterReplicate)
-	s.mux.HandleFunc("GET /api/v1/cluster/quarantine", s.handleClusterQuarantine)
-	s.mux.HandleFunc("POST /api/v1/cluster/quarantine/{node}/{id}/requeue", s.handleClusterRequeue)
+	// The cluster mounts its own peer endpoints; a single-node daemon
+	// answers every one of them 404.
+	if s.cluster != nil {
+		s.cluster.Register(s.mux)
+	} else {
+		s.mux.HandleFunc("/api/v1/cluster/", func(w http.ResponseWriter, r *http.Request) {
+			writeError(w, http.StatusNotFound, "cluster mode disabled (start sgxd with -peers)")
+		})
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -488,20 +463,33 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // Retry-After so well-behaved clients pace themselves.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxSubmitBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	tenant := r.Header.Get(TenantHeader)
 	// Route-or-serve: in cluster mode the digest's owner computes it
-	// (unless we already hold the result). A failed forward re-routes once
-	// against the current membership epoch (the ring may have moved while
-	// the forward was in flight) and then falls back to local admission —
-	// a reachable node never refuses work because the owner is down.
-	if s.cluster != nil {
+	// (unless we already hold the result). A submission a peer forwarded
+	// here is admitted without routing: one hop is the protocol. The
+	// owner's 4xx is final and goes back to the client as it came. An owner
+	// that cannot take the job gets one re-route against the current
+	// membership epoch (the ring may have moved while the forward was in
+	// flight), then the job is admitted here — a reachable node never
+	// refuses work because the owner is down.
+	forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
+	if s.cluster != nil && !forwarded {
 		if node, local := s.door.Route(req); !local {
-			if st, coalesced, ok := s.cluster.ForwardRetry(node, tenant, req, ""); ok {
+			st, coalesced, err := s.cluster.ForwardRetry(node, tenant, req, "")
+			var rej *cluster.Rejection
+			switch {
+			case err == nil:
 				writeSubmitted(w, st, coalesced)
+				return
+			case errors.As(err, &rej):
+				if rej.RetryAfter != "" {
+					w.Header().Set("Retry-After", rej.RetryAfter)
+				}
+				writeError(w, rej.Code, "%s", rej.Message)
 				return
 			}
 		}
@@ -511,9 +499,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeAdmitError(w, err)
 		return
 	}
-	st := j.Status()
-	s.stampNode(&st)
-	writeSubmitted(w, st, coalesced)
+	if forwarded {
+		markRecovered(j, coalesced, r.Header.Get(cluster.RecoveredHeader))
+	}
+	writeSubmitted(w, s.statusOf(j), coalesced)
 }
 
 // writeSubmitted answers an accepted submission with 201 and the job's
@@ -526,7 +515,7 @@ func writeSubmitted(w http.ResponseWriter, st JobStatus, coalesced bool) {
 }
 
 // writeAdmitError maps the front door's rejection sentinels onto status
-// codes, shared by the client submit path and the cluster submit path.
+// codes.
 func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, frontdoor.ErrDraining):
@@ -561,31 +550,41 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // jobFor resolves {id} to a local job. In cluster mode, an ID minted by
 // another member is proxied to that member instead (the response is then
-// already written). The ID names its holder: New prefixes every cluster
-// job ID with "<nodeID>-", and node IDs may themselves contain '-', so the
-// node is the text before the last '-'.
+// already written).
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*sched.Job, bool) {
 	id := r.PathValue("id")
 	if j, ok := s.sched.Get(id); ok {
 		return j, true
 	}
-	if s.cluster != nil {
-		if i := strings.LastIndexByte(id, '-'); i > 0 {
-			if node := id[:i]; node != s.cluster.Self() && s.cluster.IsMember(node) {
-				s.cluster.ProxyJob(w, r, node)
-				return nil, false
-			}
-		}
+	if !s.proxied(w, r, id) {
+		writeError(w, http.StatusNotFound, "no such job %q", id)
 	}
-	writeError(w, http.StatusNotFound, "no such job %q", id)
 	return nil, false
+}
+
+// proxied forwards the request to the member holding job id, and reports
+// whether it did (the response is then written). The ID names its holder:
+// New prefixes every cluster job ID with "<nodeID>-", and node IDs may
+// themselves contain '-', so the node is the text before the last '-'.
+func (s *Server) proxied(w http.ResponseWriter, r *http.Request, id string) bool {
+	if s.cluster == nil {
+		return false
+	}
+	i := strings.LastIndexByte(id, '-')
+	if i <= 0 {
+		return false
+	}
+	node := id[:i]
+	if node == s.cluster.Self() || !s.cluster.IsMember(node) {
+		return false
+	}
+	s.cluster.ProxyJob(w, r, node)
+	return true
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.jobFor(w, r); ok {
-		st := j.Status()
-		s.stampNode(&st)
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, s.statusOf(j))
 	}
 }
 
@@ -595,7 +594,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.Cancel()
-	writeJSON(w, http.StatusOK, j.Status())
+	writeJSON(w, http.StatusOK, s.statusOf(j))
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -721,12 +720,13 @@ func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRequeue is the HTTP face of Requeue, mapping its sentinels onto
-// status codes. The cluster-wide requeue endpoint shares requeueByID.
+// status codes. Like every job route, it proxies an ID that names another
+// member, so a parked job is released from any node.
 func (s *Server) handleRequeue(w http.ResponseWriter, r *http.Request) {
-	s.requeueByID(w, r.PathValue("id"))
-}
-
-func (s *Server) requeueByID(w http.ResponseWriter, id string) {
+	id := r.PathValue("id")
+	if s.proxied(w, r, id) {
+		return
+	}
 	old, fresh, err := s.Requeue(id)
 	switch {
 	case errors.Is(err, ErrNoSuchJob):
@@ -743,193 +743,6 @@ func (s *Server) requeueByID(w http.ResponseWriter, id string) {
 			"requeued":    fresh,
 		})
 	}
-}
-
-// ---- cluster endpoints ----
-
-// requireCluster 404s the peer endpoints on a single-node daemon.
-func (s *Server) requireCluster(w http.ResponseWriter) bool {
-	if s.cluster == nil {
-		writeError(w, http.StatusNotFound, "cluster mode disabled (start sgxd with -peers)")
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cluster.StatusReport())
-}
-
-func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	var b cluster.Beat
-	if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
-		writeError(w, http.StatusBadRequest, "bad heartbeat body: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cluster.ReceiveBeat(b))
-}
-
-// handleClusterResult serves a verified result body to a peer. It reads
-// the raw disk store — never the peer-fetch path — so two nodes missing
-// the same digest can never chase each other in a fetch cycle. The
-// store's Get re-verifies checksum and version on the way out; the
-// fetching side re-verifies again on arrival.
-func (s *Server) handleClusterResult(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	key := r.PathValue("key")
-	version := r.URL.Query().Get("version")
-	if version == "" {
-		version = bench.SimVersion
-	}
-	body, meta, ok := s.store.Get(key, version)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no verified result for %q", key)
-		return
-	}
-	writeJSON(w, http.StatusOK, cluster.ResultEnvelope{Meta: meta, Body: body})
-}
-
-// handleClusterSubmit is the owner side of route-or-serve: a peer
-// forwarded this submission here, so admit it locally (never re-route —
-// the forwarding node already ran placement, and one hop is the protocol).
-func (s *Server) handleClusterSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	j, coalesced, err := s.Admit(r.Header.Get(TenantHeader), req)
-	if err != nil {
-		s.writeAdmitError(w, err)
-		return
-	}
-	if recoveredFrom := r.Header.Get(cluster.RecoveredHeader); recoveredFrom != "" && !coalesced {
-		j.SetRecoveredFrom(recoveredFrom)
-	}
-	st := j.Status()
-	s.stampNode(&st)
-	writeSubmitted(w, st, coalesced)
-}
-
-// handleClusterJoin admits membership churn. Two body forms share the
-// endpoint: a joining node announces itself with {"id","addr","epoch"}
-// and receives the fleet view; an operator (sgxctl cluster join) posts
-// {"seed": url} to tell *this* node to join the fleet at seed.
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	var body struct {
-		ID    string `json:"id"`
-		Addr  string `json:"addr"`
-		Epoch uint64 `json:"epoch"`
-		Seed  string `json:"seed"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad join body: %v", err)
-		return
-	}
-	if body.Seed != "" {
-		if err := s.cluster.Join(body.Seed); err != nil {
-			writeError(w, http.StatusBadGateway, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.cluster.StatusReport())
-		return
-	}
-	v, err := s.cluster.HandleJoin(cluster.Node{ID: body.ID, Addr: body.Addr}, body.Epoch)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-// handleClusterLeave starts a graceful departure: ring-excluded drain,
-// queue handoff, final epoch without this node. The drain runs in the
-// background (it can take as long as the running jobs do); the operator
-// polls /api/v1/cluster/status until departed.
-func (s *Server) handleClusterLeave(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-		defer cancel()
-		if err := s.cluster.Leave(ctx); err != nil {
-			s.log.Printf("cluster: leave failed: %v", err)
-		}
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "leaving"})
-}
-
-// handleClusterReplicate is the receiving side of epoch-change
-// re-replication: a peer pushes a result this node now owns. The envelope
-// is re-verified against its own metadata and pinned to the running
-// simulator version before anything touches disk; a result already held
-// acks {"stored": false} so the pusher's resumable scan completes without
-// re-transferring.
-func (s *Server) handleClusterReplicate(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	var env cluster.ResultEnvelope
-	if err := json.NewDecoder(io.LimitReader(r.Body, 256<<20)).Decode(&env); err != nil {
-		writeError(w, http.StatusBadRequest, "bad replicate body: %v", err)
-		return
-	}
-	if env.Meta.Version != bench.SimVersion {
-		writeJSON(w, http.StatusOK, map[string]bool{"stored": false})
-		return
-	}
-	if !env.Verify() {
-		writeError(w, http.StatusBadRequest, "replicate envelope failed verification")
-		return
-	}
-	if _, ok := s.store.Stat(env.Meta.Key); ok {
-		writeJSON(w, http.StatusOK, map[string]bool{"stored": false})
-		return
-	}
-	if err := s.store.Put(env.Meta.Key, env.Body, env.Meta); err != nil {
-		writeError(w, http.StatusInternalServerError, "replicate store: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"stored": true})
-}
-
-// handleClusterQuarantine serves the fleet-wide quarantine view: this
-// node's parked jobs plus every peer's last-gossiped digest.
-func (s *Server) handleClusterQuarantine(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.cluster.QuarantineStatus())
-}
-
-// handleClusterRequeue releases a quarantined job from any node: requests
-// naming this node run the local requeue, anything else proxies to the
-// holder's single-node requeue endpoint.
-func (s *Server) handleClusterRequeue(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	node, id := r.PathValue("node"), r.PathValue("id")
-	if node == s.cluster.Self() {
-		s.requeueByID(w, id)
-		return
-	}
-	s.cluster.ProxyPath(w, r, node, "/api/v1/quarantine/"+id+"/requeue")
 }
 
 // JoinCluster announces this node to a running fleet via the seed node's
