@@ -4,13 +4,28 @@ import (
 	"testing"
 
 	"sgxbounds/internal/mem"
+	"sgxbounds/internal/telemetry"
 )
 
 // BenchmarkScalarAccess measures the scalar load/store path over a working
 // set that exercises every hierarchy level: a hot line, a warm buffer that
 // fits the caches, and a cold stream that spills to DRAM and the EPC.
 func BenchmarkScalarAccess(b *testing.B) {
-	m := New(DefaultConfig())
+	benchScalarAccess(b, DefaultConfig())
+}
+
+// BenchmarkScalarAccessMetrics is BenchmarkScalarAccess on a machine with a
+// metrics-only telemetry profile, as every sgxd job and every sgxbench
+// -metrics cell runs: the difference between the two is what metrics cost
+// per access.
+func BenchmarkScalarAccessMetrics(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Tel = telemetry.NewProfile("bench", telemetry.Options{Metrics: true})
+	benchScalarAccess(b, cfg)
+}
+
+func benchScalarAccess(b *testing.B, cfg Config) {
+	m := New(cfg)
 	th := m.NewThread()
 	const window = 32 * mem.PageSize
 	b.ReportAllocs()
@@ -22,6 +37,7 @@ func BenchmarkScalarAccess(b *testing.B) {
 		th.Load(addr^(1<<13), 4) // distinct L1 set: two-line alternation
 		th.Load(addr, 4)         // back again
 	}
+	m.Finish(th)
 	b.SetBytes(24)
 }
 

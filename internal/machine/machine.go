@@ -84,6 +84,16 @@ type Config struct {
 	// counters). Nil disables telemetry; the disabled hot path costs one
 	// predictable branch per instrumentation site, and telemetry never
 	// feeds back into simulated state, so results are identical either way.
+	//
+	// Events and the epc.* and mem.page_* counters are published as they
+	// happen. The per-access metrics (machine.access_cycles,
+	// machine.fault_service_cycles, machine.transitions, llc.*) are not:
+	// each thread counts them in plain fields, and Parallel folds a
+	// worker's counts into the registry when it drains the worker, Finish
+	// the main thread's. A cell's folded metrics are therefore complete
+	// when Finish returns, and not before; this holds for a cell that
+	// unwound from a violation, an OOM or a cancel too, since Parallel
+	// recovers its workers' panics before it drains them.
 	Tel *telemetry.Profile
 
 	// Cancel, when non-nil, lets the host abort simulated execution: once
@@ -201,15 +211,20 @@ func (m *Machine) Telemetry() *telemetry.Profile { return m.Cfg.Tel }
 // exists so the hot paths test one pointer (m.tel == nil) to skip all of
 // telemetry; every handle inside is additionally nil-safe, so a profile
 // with metrics but no tracer (or vice versa) needs no extra branching.
+//
+// The handles marked "folded" receive nothing on the access path;
+// Thread.foldMetrics publishes them from per-thread counts (see
+// Config.Tel), exactly, since each is a count or a histogram of a value
+// fixed per hierarchy level.
 type probes struct {
 	tracer       *telemetry.Tracer
-	accessCycles *telemetry.Histogram // cost of each scalar hierarchy probe
-	faultCycles  *telemetry.Histogram // service cost of each warm EPC fault
+	accessCycles *telemetry.Histogram // cost of each scalar hierarchy probe (folded)
+	faultCycles  *telemetry.Histogram // service cost of each warm EPC fault (folded)
 	batchLines   *telemetry.Histogram // lines per batched access
 	batchCycles  *telemetry.Histogram // cycles charged per batched access
-	transitions  *telemetry.Counter   // enclave boundary crossings
-	llcAccesses  *telemetry.Counter   // LLC probes (lines that missed L2)
-	llcMisses    *telemetry.Counter   // LLC misses (lines served by memory)
+	transitions  *telemetry.Counter   // enclave boundary crossings (folded)
+	llcAccesses  *telemetry.Counter   // LLC probes, lines that missed L2 (folded)
+	llcMisses    *telemetry.Counter   // LLC misses, lines served by memory (folded)
 }
 
 // MEEBurstLines is the memory-level line count at which a single batched
@@ -340,6 +355,10 @@ type Thread struct {
 
 	// cancel copies M.Cfg.Cancel (same rationale and placement as tel).
 	cancel *atomic.Bool
+
+	// probed counts this thread's scalar hierarchy probes per perf.Level
+	// since its last foldMetrics. Only kept when tel != nil.
+	probed [perf.Fault + 1]uint64
 }
 
 // SpillBase returns a small per-thread region at the bottom of the stack
@@ -386,9 +405,6 @@ func (t *Thread) Transition() {
 	}
 	t.C.Transitions++
 	t.C.Cycles += t.M.costs.Transition
-	if t.tel != nil {
-		t.tel.transitions.Inc()
-	}
 }
 
 // accessLine runs one cache-line access through the hierarchy and charges
@@ -438,7 +454,7 @@ func (t *Thread) accessLine(line uint32) {
 	t.C.Hits[lvl]++
 	t.C.Cycles += t.M.costs.Level[lvl]
 	if t.tel != nil {
-		t.observeAccess(lvl)
+		t.probed[lvl]++
 	}
 }
 
@@ -454,22 +470,28 @@ func (t *Thread) tracedTouch(line uint32) (fault, cold bool) {
 	return r.Fault, r.Cold
 }
 
-// observeAccess publishes the cost of one scalar probe, and the probe's LLC
-// access and miss when it got past L2. Out of line for the same reason as
-// tracedTouch.
-//
-//go:noinline
-func (t *Thread) observeAccess(lvl perf.Level) {
-	t.tel.accessCycles.Observe(t.M.costs.Level[lvl])
-	if lvl >= perf.L3 {
-		t.tel.llcAccesses.Inc()
-		if lvl != perf.L3 {
-			t.tel.llcMisses.Inc()
-		}
+// foldMetrics publishes the folded metrics (see probes) of what this
+// thread did since it was last drained, and zeroes its probe counts. Each
+// scalar probe is one access_cycles observation at its level's fixed
+// cost. The rest come from t.C, so it runs before t.C is drained: every
+// line that missed L2, scalar or batched, probed the LLC and is counted
+// at L3 or beyond, the memory-level ones being its misses, and every warm
+// EPC fault, scalar or batched, is one fault_service_cycles observation.
+func (t *Thread) foldMetrics() {
+	tel := t.tel
+	if tel == nil {
+		return
 	}
-	if lvl == perf.Fault {
-		t.tel.faultCycles.Observe(t.M.costs.Level[lvl])
+	cost := &t.M.costs.Level
+	for lvl, n := range t.probed {
+		tel.accessCycles.ObserveN(cost[lvl], n)
 	}
+	t.probed = [perf.Fault + 1]uint64{}
+	memLines := t.C.LLCMisses()
+	tel.llcAccesses.Add(t.C.Hits[perf.L3] + memLines)
+	tel.llcMisses.Add(memLines)
+	tel.faultCycles.ObserveN(cost[perf.Fault], t.C.PageFaults)
+	tel.transitions.Add(t.C.Transitions)
 }
 
 // access accounts one scalar access of the given size at addr.
@@ -641,9 +663,6 @@ func (t *Thread) accessRange(first, last uint32, write bool) {
 						ts, tid := t.C.Cycles, t.ID
 						warm, cold = epc.TouchPagesFunc(pages, func(pn uint32, r enclave.TouchResult) {
 							tel.noteEPC(tid, ts, pn, r)
-							if !r.Cold {
-								tel.faultCycles.Observe(t.M.costs.Level[perf.Fault])
-							}
 						})
 					} else {
 						warm, cold = epc.TouchPages(pages)
@@ -668,12 +687,7 @@ func (t *Thread) accessRange(first, last uint32, write bool) {
 		t.C.Charge(&b, &t.M.costs)
 		tel.batchLines.Observe(nLines)
 		tel.batchCycles.Observe(t.C.Cycles - before)
-		// Every line that missed L2 probed the LLC; the memory-level
-		// lines are its misses.
-		memLines := b.Hits[perf.DRAM] + b.Hits[perf.Fault]
-		tel.llcAccesses.Add(b.Hits[perf.L3] + memLines)
-		tel.llcMisses.Add(memLines)
-		if memLines >= MEEBurstLines && t.M.EPC != nil {
+		if memLines := b.Hits[perf.DRAM] + b.Hits[perf.Fault]; memLines >= MEEBurstLines && t.M.EPC != nil {
 			tel.tracer.Emit(telemetry.Event{Ts: t.C.Cycles, Tid: int32(t.ID), Kind: telemetry.EvMEEBurst,
 				Arg0: memLines, Arg1: nLines})
 		}
@@ -738,6 +752,7 @@ func (m *Machine) Parallel(caller *Thread, n int, body func(w *Thread, i int)) {
 	for _, w := range workers {
 		maxCycles = max(maxCycles, w.C.Cycles)
 		m.totals.Add(&w.C)
+		w.foldMetrics()
 		w.C = perf.Counters{} // drained into totals; the pool thread is reused
 	}
 	caller.C.Cycles += maxCycles
@@ -754,9 +769,12 @@ func (m *Machine) Parallel(caller *Thread, n int, body func(w *Thread, i int)) {
 
 // Finish folds the main thread's counters into the totals and returns the
 // final aggregate. Elapsed simulated time is the main thread's cycle count
-// (parallel phases already contributed their critical path to it).
+// (parallel phases already contributed their critical path to it). It also
+// publishes the main thread's folded metrics (see Config.Tel), so it is
+// called once per run, after the run has returned or unwound.
 func (m *Machine) Finish(main *Thread) perf.Counters {
 	m.totals.Add(&main.C)
+	main.foldMetrics()
 	return m.totals
 }
 

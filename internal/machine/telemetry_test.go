@@ -3,14 +3,19 @@ package machine
 // Locks in the telemetry side-channel contract: attaching a profile to a
 // machine changes nothing about the simulation — counters, cache state and
 // EPC state are bit-identical with telemetry on and off — while the captured
-// events and metrics reconcile exactly with the simulated counters.
+// events and metrics reconcile exactly with the simulated counters. The
+// per-access metrics are folded in at Parallel drain and Finish, so a test
+// calls Finish before it reads them.
 
 import (
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"sgxbounds/internal/cache"
 	"sgxbounds/internal/mem"
+	"sgxbounds/internal/perf"
 	"sgxbounds/internal/telemetry"
 )
 
@@ -40,6 +45,12 @@ func randomOps(seed int64, n int) []op {
 
 func replay(m *Machine, ops []op) *Thread {
 	th := m.NewThread()
+	play(th, ops)
+	return th
+}
+
+// play runs ops on th.
+func play(th *Thread, ops []op) {
 	for i, o := range ops {
 		switch o.kind & 3 {
 		case 0:
@@ -52,7 +63,6 @@ func replay(m *Machine, ops []op) *Thread {
 			th.Touch(o.addr, o.n, true)
 		}
 	}
-	return th
 }
 
 // TestTelemetryDoesNotPerturbSimulation replays identical traces on a bare
@@ -104,6 +114,7 @@ func TestTelemetryReconcilesWithCounters(t *testing.T) {
 	})
 	m := New(cfg)
 	th := replay(m, ops)
+	m.Finish(th) // publishes the thread's folded metrics
 
 	snap := cfg.Tel.Metrics.Snapshot()
 	if got, want := snap.Counters["epc.faults"], m.EPC.Faults(); got != want {
@@ -150,6 +161,125 @@ func TestTelemetryReconcilesWithCounters(t *testing.T) {
 		t.Errorf("fault_service_cycles has %d observations, thread counted %d warm faults",
 			h.Count, th.C.PageFaults)
 	}
+}
+
+// TestMetricsIndependentOfEvents replays identical traces on a metrics-only
+// machine and on a metrics+events one and requires identical metrics after
+// Finish: the tracer adds events and nothing else, and every warm fault,
+// scalar or batched, reaches fault_service_cycles either way.
+func TestMetricsIndependentOfEvents(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		for _, enclaveOn := range []bool{true, false} {
+			ops := randomOps(seed, 4000)
+			var snaps [2]telemetry.MetricsSnapshot
+			for i, events := range []bool{false, true} {
+				cfg := equivConfig(enclaveOn)
+				cfg.Tel = telemetry.NewProfile("test", telemetry.Options{
+					Metrics: true, Events: events, EventCap: telemetry.DefaultTraceCap,
+				})
+				m := New(cfg)
+				m.Finish(replay(m, ops))
+				snaps[i] = cfg.Tel.Metrics.Snapshot()
+			}
+			for _, d := range metricsDiff(snaps[0], snaps[1]) {
+				t.Errorf("seed %d enclave=%v: metrics only vs with events: %s", seed, enclaveOn, d)
+			}
+		}
+	}
+}
+
+// TestFoldSurvivesUnwind runs a cell that unwinds twice, once from a
+// Parallel phase whose worker 1 panics partway and once from a cancel on
+// the main thread, and compares its metrics after Finish with those of a
+// run that made the same accesses and stopped cleanly. The metrics must
+// also reconcile with the terminal counters, so neither the panicking
+// worker's counts nor the main thread's may be lost.
+func TestFoldSurvivesUnwind(t *testing.T) {
+	ops := randomOps(11, 4000)
+	run := func(unwind bool) (telemetry.MetricsSnapshot, perf.Counters) {
+		cfg := equivConfig(true)
+		cfg.Tel = telemetry.NewProfile("test", telemetry.Options{Metrics: true})
+		cfg.Cancel = new(atomic.Bool)
+		m := New(cfg)
+		main := m.NewThread()
+		play(main, ops[:500])
+		main.Transition()
+		func() {
+			defer func() {
+				if p := recover(); unwind && p == nil {
+					t.Fatal("worker panic not propagated")
+				}
+			}()
+			m.Parallel(main, 3, func(w *Thread, i int) {
+				w.Transition()
+				part := ops[500+1000*i : 1500+1000*i]
+				if i == 1 {
+					play(w, part[:400])
+					if unwind {
+						panic("worker 1 fault")
+					}
+					return
+				}
+				play(w, part)
+			})
+		}()
+		play(main, ops[3500:])
+		if unwind {
+			cfg.Cancel.Store(true)
+			func() {
+				defer func() {
+					if p := recover(); p != ErrCanceled {
+						t.Fatalf("canceled main thread panicked with %v, want ErrCanceled", p)
+					}
+				}()
+				main.Touch(0x1000, mem.PageSize, false)
+			}()
+		}
+		totals := m.Finish(main)
+		return cfg.Tel.Metrics.Snapshot(), totals
+	}
+	clean, cleanTotals := run(false)
+	unwound, totals := run(true)
+	if totals != cleanTotals {
+		t.Fatalf("unwound run's counters %+v, clean run's %+v", totals, cleanTotals)
+	}
+	for _, d := range metricsDiff(clean, unwound) {
+		t.Errorf("clean vs unwound: %s", d)
+	}
+	for name, want := range map[string]uint64{
+		"llc.accesses":        totals.Hits[perf.L3] + totals.LLCMisses(),
+		"llc.misses":          totals.LLCMisses(),
+		"machine.transitions": totals.Transitions,
+	} {
+		if got := unwound.Counters[name]; got != want {
+			t.Errorf("%s = %d, terminal counters say %d", name, got, want)
+		}
+	}
+	if got := unwound.Histograms["machine.fault_service_cycles"].Count; got != totals.PageFaults || got == 0 {
+		t.Errorf("fault_service_cycles has %d observations, terminal counters say %d warm faults",
+			got, totals.PageFaults)
+	}
+}
+
+// metricsDiff lists the metrics that differ between two snapshots.
+func metricsDiff(a, b telemetry.MetricsSnapshot) []string {
+	var diffs []string
+	for _, name := range a.CounterNames() {
+		if av, bv := a.Counters[name], b.Counters[name]; av != bv {
+			diffs = append(diffs, fmt.Sprintf("counter %s: %d vs %d", name, av, bv))
+		}
+	}
+	for _, name := range a.HistogramNames() {
+		if ah, bh := a.Histograms[name], b.Histograms[name]; ah != bh {
+			diffs = append(diffs, fmt.Sprintf("histogram %s: count %d sum %d vs count %d sum %d",
+				name, ah.Count, ah.Sum, bh.Count, bh.Sum))
+		}
+	}
+	if len(a.Counters) != len(b.Counters) || len(a.Histograms) != len(b.Histograms) {
+		diffs = append(diffs, fmt.Sprintf("metric sets differ: %v %v vs %v %v",
+			a.CounterNames(), a.HistogramNames(), b.CounterNames(), b.HistogramNames()))
+	}
+	return diffs
 }
 
 // TestParallelPhaseEvents checks that Parallel brackets its workers with

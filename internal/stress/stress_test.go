@@ -3,10 +3,12 @@ package stress
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 
 	"sgxbounds/internal/bench"
 	"sgxbounds/internal/serve/sched"
+	"sgxbounds/internal/telemetry"
 	"sgxbounds/internal/workloads"
 )
 
@@ -32,6 +34,48 @@ func TestKernelsDeterministic(t *testing.T) {
 					wl, threads, a.Digest, b.Digest, a.Cycles, b.Cycles)
 			}
 		}
+	}
+}
+
+// TestMetricsOnlyProfilesReconcile runs cells the way an sgxd job does, on a
+// metrics-only engine with two workers: an 8-thread XS grid cell and the
+// epc-thrash sweep. Every profile's folded metrics must agree with its
+// terminal run.* counters: llc.misses with run.llc_misses, and one
+// fault_service_cycles observation per warm fault, batched ones included.
+// A fold that loses a Parallel worker's probes fails here.
+func TestMetricsOnlyProfilesReconcile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full epc-thrash sweep")
+	}
+	e := bench.NewEngine(2)
+	e.Telemetry = telemetry.NewCollector(telemetry.Options{Metrics: true})
+	// wordcount because every one of its workers misses the LLC at XS; in
+	// most XS cells only the main thread does, so a lost worker would
+	// leave llc.misses unchanged.
+	grid := e.Run(bench.Spec{Workload: "wordcount", Policy: "sgxbounds", Size: workloads.XS, Threads: 8})
+	if grid.Totals.LLCMisses() == 0 {
+		t.Fatal("the grid cell makes no LLC misses: nothing to reconcile")
+	}
+	EPCThrash(e, io.Discard, AllSizes, 0)
+
+	profiles := e.Telemetry.Profiles()
+	if want := 1 + len(AllSizes)*len(bench.PolicyNames); len(profiles) != want {
+		t.Fatalf("captured %d profiles, want %d", len(profiles), want)
+	}
+	var warm uint64
+	for _, p := range profiles {
+		snap := p.Metrics.Snapshot()
+		if got, want := snap.Counters["llc.misses"], snap.Counters["run.llc_misses"]; got != want {
+			t.Errorf("%s: llc.misses %d, run.llc_misses %d", p.Label, got, want)
+		}
+		h, faults := snap.Histograms["machine.fault_service_cycles"], snap.Counters["run.page_faults"]
+		if h.Count != faults {
+			t.Errorf("%s: fault_service_cycles has %d observations, run.page_faults %d", p.Label, h.Count, faults)
+		}
+		warm += faults
+	}
+	if warm == 0 {
+		t.Fatal("no cell made a warm fault: the fault-service check is vacuous")
 	}
 }
 

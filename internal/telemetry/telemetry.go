@@ -17,6 +17,12 @@
 //     name to a nil handle.
 //   - The tracer never blocks: when its ring fills, further events are
 //     dropped and counted instead of stalling the publisher.
+//   - A per-access metric whose value is fixed per site need not publish
+//     per access at all: the publisher counts occurrences in a plain field
+//     and folds the count in once (Histogram.ObserveN, Counter.Add). The
+//     simulated machine counts its scalar hierarchy probes per level this
+//     way and folds them when a thread's counters are drained, so with
+//     metrics on a probe costs one increment of a thread-local field.
 //
 // Handles are safe for concurrent publishers: counters and histogram
 // buckets are atomics, the tracer ring is mutex-guarded.
@@ -78,6 +84,17 @@ func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
+}
+
+// ObserveN records the value v n times, with the same result as n calls
+// of Observe(v), the sum wrapping alike. Safe on a nil receiver.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if h == nil || n == 0 {
+		return
+	}
+	h.count.Add(n)
+	h.sum.Add(v * n)
+	h.buckets[bits.Len64(v)].Add(n)
 }
 
 // HistSnapshot is a point-in-time copy of a histogram.

@@ -70,6 +70,28 @@ func TestHistogramNilSafe(t *testing.T) {
 	}
 }
 
+// TestHistogramObserveN pins ObserveN to n calls of Observe, down to the
+// bucket counts and the wrapping sum, including n = 0 and the top bucket.
+func TestHistogramObserveN(t *testing.T) {
+	for _, v := range []uint64{0, 1, 7, 1 << 63} {
+		for _, n := range []uint64{0, 1, 1000} {
+			folded, looped := new(Histogram), new(Histogram)
+			folded.ObserveN(v, n)
+			for i := uint64(0); i < n; i++ {
+				looped.Observe(v)
+			}
+			if got, want := folded.Snapshot(), looped.Snapshot(); got != want {
+				t.Errorf("ObserveN(%d, %d) = %+v, want %+v", v, n, got, want)
+			}
+		}
+	}
+	var h *Histogram
+	h.ObserveN(42, 3) // must not panic
+	if s := h.Snapshot(); s.Count != 0 {
+		t.Fatalf("nil histogram snapshot = %+v, want zero", s)
+	}
+}
+
 func TestHistogramMeanQuantile(t *testing.T) {
 	h := new(Histogram)
 	for i := 0; i < 90; i++ {
