@@ -1,24 +1,26 @@
 // sgxload is an open-loop load driver for sgxd's front door (in the
 // Stress-SGX spirit: load the service envelope, not the simulator).
-// It issues submissions at a fixed target rate regardless of how fast the
-// daemon answers — the open-loop discipline that exposes queueing
-// collapse, which closed-loop clients mask — with a configurable mix of
-// identical jobs (exercising single-flight coalescing) and distinct jobs
-// (exercising admission and the result tier), and records submit-latency
-// percentiles, the coalescing ratio, and the 429/5xx rates into a JSON
-// baseline (BENCH_load.json) that later PRs track SLOs against.
+// It sends planned = rps × duration submissions on an absolute schedule,
+// send i at start + i/rps, regardless of how fast the daemon answers —
+// the open-loop discipline that exposes queueing collapse, which
+// closed-loop clients mask. The mix interleaves one identical job
+// (exercising single-flight coalescing) with distinct jobs (exercising
+// admission and the result tier).
 //
-// Cluster runs: -targets takes a comma-separated list of node URLs and
-// round-robins submissions across them, adding a per-target breakdown
-// (issued/accepted/429/retried/p50/p99) to the report. Transport failures
-// retry with bounded, jittered backoff — a node restarting during
-// membership churn briefly refuses connections, which is churn, not an
-// outage — and retried submissions are counted separately from errors. -label merges the report
-// under {"runs": {label: ...}} in -out instead of overwriting it, so one
-// file holds comparable runs (BENCH_cluster.json: "1node" vs "3node").
+// The JSON report goes to stdout, and to -out when set: planned, issued
+// and late sends, the coalescing ratio, the 429/5xx counts, and submit
+// latency measured from each send's scheduled time, so a slow issuing
+// loop shows up in the latencies instead of hiding in them.
 //
-// Exit status: 0 on a clean run, 1 when an -assert-* flag fails, 2 on
-// usage or connectivity errors.
+// -targets takes one sgxd base URL or a comma-separated list, and
+// round-robins submissions across them. Transport failures retry with
+// bounded, jittered backoff — a node restarting during membership churn
+// briefly refuses connections, which is churn, not an outage — and
+// retried submissions are counted separately from errors.
+//
+// Exit status: 0 on a clean run; 1 when a planned send was not issued, a
+// send started more than lateLimit after its schedule, or an -assert-*
+// flag fails; 2 on usage or connectivity errors.
 package main
 
 import (
@@ -27,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -35,34 +38,47 @@ import (
 	"time"
 )
 
+const (
+	// identicalJob is the identical share of the mix. It is deliberately
+	// heavy (seconds of compute on a cold store): coalescing needs
+	// submissions to overlap an in-flight computation, and a millisecond
+	// job leaves no window at any sane rate. Once the result is warm, later
+	// identical submits become instant store hits — so the coalescing
+	// ratio measures the cold phase.
+	identicalJob   = `{"experiment":"grid","workloads":["kmeans"],"policies":["sgxbounds"],"size":"XL","threads":8}`
+	tenant         = "sgxload"
+	requestTimeout = 30 * time.Second
+
+	// lateLimit is how late a send may start before the run fails; it is
+	// the limit perfbench's load generator applies to its own schedule.
+	lateLimit = time.Second
+)
+
 type cliConfig struct {
-	addr      string
-	targets   string
-	label     string
-	rps       float64
-	duration  time.Duration
-	mix       float64
-	identical string
-	tenant    string
-	timeout   time.Duration
-	out       string
+	targets  []string
+	rps      float64
+	duration time.Duration
+	mix      float64
+	out      string
 
 	assertCoalescing bool
 	assertNo5xx      bool
 }
 
-// report is the BENCH_load.json schema.
+// report is sgxload's JSON output.
 type report struct {
 	Config struct {
-		Addr         string   `json:"addr"`
-		Targets      []string `json:"targets,omitempty"`
+		Targets      []string `json:"targets"`
 		TargetRPS    float64  `json:"target_rps"`
 		DurationSec  float64  `json:"duration_sec"`
 		IdenticalMix float64  `json:"identical_mix"`
-		IdenticalJob string   `json:"identical_job"`
 	} `json:"config"`
 	Totals struct {
-		Issued    int `json:"issued"`
+		Planned int `json:"planned"`
+		Issued  int `json:"issued"`
+		// Late counts sends that started more than lateLimit after their
+		// scheduled time.
+		Late      int `json:"late"`
 		Accepted  int `json:"accepted"`
 		Coalesced int `json:"coalesced"`
 		Computed  int `json:"computed"` // accepted submissions that became their own job
@@ -87,24 +103,6 @@ type report struct {
 		Max  float64 `json:"max"`
 		Mean float64 `json:"mean"`
 	} `json:"submit_latency_ms"`
-	AchievedRPS float64 `json:"achieved_rps"`
-	// PerTarget breaks the run down by cluster node when -targets named
-	// more than one; round-robin issue order makes the shares comparable.
-	PerTarget []targetReport `json:"per_target,omitempty"`
-	Unix      int64          `json:"unix"`
-}
-
-// targetReport is one node's share of a -targets run.
-type targetReport struct {
-	Target    string  `json:"target"`
-	Issued    int     `json:"issued"`
-	Accepted  int     `json:"accepted"`
-	Rejected  int     `json:"rejected_429"`
-	Server5xx int     `json:"server_5xx"`
-	Errors    int     `json:"transport_errors"`
-	Retried   int     `json:"retried"`
-	P50MS     float64 `json:"p50_ms"`
-	P99MS     float64 `json:"p99_ms"`
 }
 
 // distinctPool is the cycle of cheap single-cell grid jobs used for the
@@ -129,9 +127,22 @@ func distinctBody(i int) []byte {
 	return b
 }
 
+// body picks send i's request. The mix interleaves identical and distinct
+// jobs deterministically (no RNG: runs are reproducible): send i is
+// identical when the identical share of sends 0..i first reaches a new
+// whole number.
+func body(i int, mix float64) []byte {
+	ident := int(float64(i+1) * mix) // identical sends among 0..i
+	if ident > int(float64(i)*mix) {
+		return []byte(identicalJob)
+	}
+	return distinctBody(i - ident)
+}
+
 type outcome struct {
-	target    int // index into the round-robin target list
-	latency   time.Duration
+	issued    bool
+	late      time.Duration // request start - scheduled send
+	latency   time.Duration // answer - scheduled send
 	status    int
 	coalesced bool
 	retries   int // transport retries before this outcome settled
@@ -160,197 +171,131 @@ func main() {
 
 func run() int {
 	var cfg cliConfig
-	flag.StringVar(&cfg.addr, "addr", "http://localhost:8080", "sgxd base URL")
-	flag.StringVar(&cfg.targets, "targets", "", "comma-separated sgxd base URLs to round-robin across (cluster runs; overrides -addr)")
-	flag.StringVar(&cfg.label, "label", "", "merge the report under this key in {\"runs\":{...}} instead of overwriting -out")
+	targets := flag.String("targets", "http://127.0.0.1:7483", "sgxd base URL, or a comma-separated list of them to round-robin across")
 	flag.Float64Var(&cfg.rps, "rps", 50, "target submissions per second (open loop)")
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "how long to drive load")
 	flag.Float64Var(&cfg.mix, "mix", 0.8, "fraction of submissions that are the identical job (0..1); the rest cycle a distinct-job pool")
-	// The default identical job is deliberately heavy (seconds of compute
-	// on a cold store): coalescing needs submissions to overlap an
-	// in-flight computation, and a millisecond job leaves no window at any
-	// sane RPS. Once the result is warm, later identical submits become
-	// instant store hits — so the coalescing ratio measures the cold phase.
-	flag.StringVar(&cfg.identical, "identical-json", `{"experiment":"grid","workloads":["kmeans"],"policies":["sgxbounds"],"size":"XL","threads":8}`,
-		"request body for the identical share of the mix")
-	flag.StringVar(&cfg.tenant, "tenant", "sgxload", "tenant header value")
-	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request timeout")
-	flag.StringVar(&cfg.out, "out", "BENCH_load.json", "write the JSON report here (empty = stdout only)")
+	flag.StringVar(&cfg.out, "out", "", "also write the JSON report to this file (it always goes to stdout)")
 	flag.BoolVar(&cfg.assertCoalescing, "assert-coalescing", false, "exit 1 unless the coalescing ratio is > 1")
 	flag.BoolVar(&cfg.assertNo5xx, "assert-no-5xx", false, "exit 1 if any submission got a 5xx")
 	flag.Parse()
-	if cfg.rps <= 0 || cfg.mix < 0 || cfg.mix > 1 {
-		fmt.Fprintln(os.Stderr, "sgxload: -rps must be > 0 and -mix within [0,1]")
+	planned := int(math.Round(cfg.rps * cfg.duration.Seconds()))
+	if cfg.rps <= 0 || cfg.mix < 0 || cfg.mix > 1 || planned < 1 {
+		fmt.Fprintln(os.Stderr, "sgxload: -rps must be > 0, -mix within [0,1], and -rps × -duration at least one send")
+		return 2
+	}
+	for _, tgt := range strings.Split(*targets, ",") {
+		if tgt = strings.TrimSpace(tgt); tgt != "" {
+			cfg.targets = append(cfg.targets, strings.TrimRight(tgt, "/"))
+		}
+	}
+	if len(cfg.targets) == 0 {
+		fmt.Fprintln(os.Stderr, "sgxload: -targets named no URLs")
 		return 2
 	}
 
-	targets := []string{cfg.addr}
-	if cfg.targets != "" {
-		targets = targets[:0]
-		for _, tgt := range strings.Split(cfg.targets, ",") {
-			if tgt = strings.TrimSpace(tgt); tgt != "" {
-				targets = append(targets, strings.TrimRight(tgt, "/"))
-			}
-		}
-		if len(targets) == 0 {
-			fmt.Fprintln(os.Stderr, "sgxload: -targets named no URLs")
-			return 2
-		}
-		// The report's addr field names where load actually went.
-		cfg.addr = targets[0]
-	}
-
-	client := &http.Client{Timeout: cfg.timeout}
-	for _, tgt := range targets {
-		if !waitReady(client, tgt, cfg.timeout) {
+	client := &http.Client{Timeout: requestTimeout}
+	for _, tgt := range cfg.targets {
+		if !waitReady(client, tgt, requestTimeout) {
 			fmt.Fprintf(os.Stderr, "sgxload: %s/readyz never went ready\n", tgt)
 			return 2
 		}
 	}
 
-	if !json.Valid([]byte(cfg.identical)) {
-		fmt.Fprintln(os.Stderr, "sgxload: -identical-json is not valid JSON")
-		return 2
-	}
-	identical := []byte(cfg.identical)
-
-	var (
-		mu       sync.Mutex
-		outcomes []outcome
-		wg       sync.WaitGroup
-	)
-	submit := func(seq, target int, body []byte) {
-		defer wg.Done()
-		start := time.Now()
-		o := outcome{target: target}
-		for attempt := 1; ; attempt++ {
-			req, err := http.NewRequest(http.MethodPost, targets[target]+"/api/v1/jobs", bytes.NewReader(body))
-			if err != nil {
-				o.err = err
-				break
-			}
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set("X-Sgxd-Tenant", cfg.tenant)
-			resp, err := client.Do(req)
-			if err != nil {
-				// Transport failure (connection refused during churn, reset
-				// mid-restart): retry with jittered backoff, bounded.
-				o.err = err
-				if attempt >= submitAttempts {
-					break
-				}
-				o.retries++
-				time.Sleep(retryDelay(seq, attempt))
-				continue
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			o.err = nil
-			o.status = resp.StatusCode
-			o.coalesced = resp.Header.Get("X-Sgxd-Coalesced") == "true"
-			break
-		}
-		o.latency = time.Since(start)
-		mu.Lock()
-		outcomes = append(outcomes, o)
-		mu.Unlock()
-	}
-
-	// Open loop: one submission per tick, regardless of responses in
-	// flight. The mix counter interleaves identical and distinct
-	// deterministically (no RNG: runs are reproducible).
+	outcomes := make([]outcome, planned)
+	var wg sync.WaitGroup
 	interval := time.Duration(float64(time.Second) / cfg.rps)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.Now().Add(cfg.duration)
-	start := time.Now()
-	issued, identCredit, distinctSeq := 0, 0.0, 0
-	for time.Now().Before(deadline) {
-		<-ticker.C
-		target := issued % len(targets) // round-robin across the cluster
-		issued++
-		identCredit += cfg.mix
+	schedule(time.Now(), planned, interval, func(i int, at time.Time) {
+		target := cfg.targets[i%len(cfg.targets)] // round-robin across the cluster
+		b := body(i, cfg.mix)
 		wg.Add(1)
-		if identCredit >= 1 {
-			identCredit--
-			go submit(issued, target, identical)
-		} else {
-			go submit(issued, target, distinctBody(distinctSeq))
-			distinctSeq++
-		}
-	}
-	elapsed := time.Since(start)
+		go func() {
+			defer wg.Done()
+			outcomes[i] = submit(client, target, b, i, at)
+		}()
+	})
 	wg.Wait()
 
-	rep := buildReport(cfg, targets, outcomes, issued, elapsed)
+	rep := buildReport(cfg, outcomes)
 	blob, _ := json.MarshalIndent(rep, "", "  ")
 	blob = append(blob, '\n')
 	if cfg.out != "" {
-		if err := writeReport(cfg, blob); err != nil {
+		if err := os.WriteFile(cfg.out, blob, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "sgxload: write %s: %v\n", cfg.out, err)
 			return 2
 		}
 	}
 	os.Stdout.Write(blob)
-
-	code := 0
-	if cfg.assertCoalescing && rep.CoalescingRatio <= 1 {
-		fmt.Fprintf(os.Stderr, "sgxload: ASSERT FAILED coalescing ratio %.3f <= 1\n", rep.CoalescingRatio)
-		code = 1
-	}
-	if cfg.assertNo5xx && rep.Totals.Server5xx > 0 {
-		fmt.Fprintf(os.Stderr, "sgxload: ASSERT FAILED %d submissions hit 5xx\n", rep.Totals.Server5xx)
-		code = 1
-	}
-	if rep.Totals.Errors > 0 {
-		fmt.Fprintf(os.Stderr, "sgxload: warning: %d transport errors\n", rep.Totals.Errors)
-	}
-	return code
+	return verdict(cfg, rep)
 }
 
-// writeReport lands the JSON on disk. Plain mode overwrites -out with the
-// report; -label mode merges it under {"runs": {label: report}} so one
-// file accumulates comparable runs (the 1-node vs 3-node benchmark shape).
-func writeReport(cfg cliConfig, blob []byte) error {
-	if cfg.label == "" {
-		return os.WriteFile(cfg.out, blob, 0o644)
+// schedule calls fire(i, at) on the caller's goroutine for each send
+// i < planned once the clock reaches at = start + i·interval. It never
+// drops a send: after a stall (a GC pause, a descheduled process) it
+// fires every overdue send at once, each still timed against its own at,
+// so the stall shows up as late sends rather than missing ones. fire must
+// start the send and return without waiting for it.
+func schedule(start time.Time, planned int, interval time.Duration, fire func(i int, at time.Time)) {
+	for i := 0; i < planned; i++ {
+		at := start.Add(time.Duration(i) * interval)
+		time.Sleep(time.Until(at))
+		fire(i, at)
 	}
-	merged := struct {
-		Runs map[string]json.RawMessage `json:"runs"`
-	}{Runs: map[string]json.RawMessage{}}
-	if prev, err := os.ReadFile(cfg.out); err == nil {
-		json.Unmarshal(prev, &merged) // unreadable/legacy content starts fresh
-		if merged.Runs == nil {
-			merged.Runs = map[string]json.RawMessage{}
+}
+
+// submit posts body to target as send seq, scheduled at at, and times the
+// send from that schedule.
+func submit(client *http.Client, target string, body []byte, seq int, at time.Time) outcome {
+	o := outcome{issued: true, late: time.Since(at)}
+	for attempt := 1; ; attempt++ {
+		req, err := http.NewRequest(http.MethodPost, target+"/api/v1/jobs", bytes.NewReader(body))
+		if err != nil {
+			o.err = err
+			break
 		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Sgxd-Tenant", tenant)
+		resp, err := client.Do(req)
+		if err != nil {
+			// Transport failure (connection refused during churn, reset
+			// mid-restart): retry with jittered backoff, bounded.
+			o.err = err
+			if attempt >= submitAttempts {
+				break
+			}
+			o.retries++
+			time.Sleep(retryDelay(seq, attempt))
+			continue
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		o.err = nil
+		o.status = resp.StatusCode
+		o.coalesced = resp.Header.Get("X-Sgxd-Coalesced") == "true"
+		break
 	}
-	merged.Runs[cfg.label] = json.RawMessage(bytes.TrimSpace(blob))
-	out, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(cfg.out, append(out, '\n'), 0o644)
+	o.latency = time.Since(at)
+	return o
 }
 
-func buildReport(cfg cliConfig, targets []string, outcomes []outcome, issued int, elapsed time.Duration) report {
+func buildReport(cfg cliConfig, outcomes []outcome) report {
 	var rep report
-	rep.Config.Addr = cfg.addr
-	if len(targets) > 1 {
-		rep.Config.Targets = targets
-	}
+	rep.Config.Targets = cfg.targets
 	rep.Config.TargetRPS = cfg.rps
 	rep.Config.DurationSec = cfg.duration.Seconds()
 	rep.Config.IdenticalMix = cfg.mix
-	rep.Config.IdenticalJob = cfg.identical
-	rep.Totals.Issued = issued
-	rep.Unix = time.Now().Unix()
-	if elapsed > 0 {
-		rep.AchievedRPS = float64(len(outcomes)) / elapsed.Seconds()
-	}
+	rep.Totals.Planned = len(outcomes)
 
 	var lat []float64
 	var sum float64
 	for _, o := range outcomes {
+		if !o.issued {
+			continue
+		}
+		rep.Totals.Issued++
+		if o.late > lateLimit {
+			rep.Totals.Late++
+		}
 		if o.retries > 0 && o.err == nil {
 			rep.Totals.Retried++
 		}
@@ -376,8 +321,8 @@ func buildReport(cfg cliConfig, targets []string, outcomes []outcome, issued int
 	if rep.Totals.Computed > 0 {
 		rep.CoalescingRatio = float64(rep.Totals.Accepted) / float64(rep.Totals.Computed)
 	}
-	if issued > 0 {
-		rep.Rate429 = float64(rep.Totals.Rejected) / float64(issued)
+	if rep.Totals.Issued > 0 {
+		rep.Rate429 = float64(rep.Totals.Rejected) / float64(rep.Totals.Issued)
 	}
 	if len(lat) > 0 {
 		sort.Float64s(lat)
@@ -387,50 +332,32 @@ func buildReport(cfg cliConfig, targets []string, outcomes []outcome, issued int
 		rep.LatencyMS.Max = lat[len(lat)-1]
 		rep.LatencyMS.Mean = sum / float64(len(lat))
 	}
-	if len(targets) > 1 {
-		rep.PerTarget = perTarget(targets, outcomes)
-	}
 	return rep
 }
 
-// perTarget splits the outcomes by round-robin target.
-func perTarget(targets []string, outcomes []outcome) []targetReport {
-	reps := make([]targetReport, len(targets))
-	lat := make([][]float64, len(targets))
-	for i, tgt := range targets {
-		reps[i].Target = tgt
+// verdict reports every failed check on stderr and returns the exit code.
+func verdict(cfg cliConfig, rep report) int {
+	code := 0
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "sgxload: FAILED "+format+"\n", args...)
+		code = 1
 	}
-	for _, o := range outcomes {
-		i := o.target
-		if i < 0 || i >= len(targets) {
-			continue
-		}
-		reps[i].Issued++
-		if o.retries > 0 && o.err == nil {
-			reps[i].Retried++
-		}
-		switch {
-		case o.err != nil:
-			reps[i].Errors++
-			continue
-		case o.status == http.StatusCreated:
-			reps[i].Accepted++
-		case o.status == http.StatusTooManyRequests:
-			reps[i].Rejected++
-		case o.status >= 500:
-			reps[i].Server5xx++
-		}
-		lat[i] = append(lat[i], float64(o.latency)/float64(time.Millisecond))
+	if rep.Totals.Issued < rep.Totals.Planned {
+		fail("issued %d of %d planned sends", rep.Totals.Issued, rep.Totals.Planned)
 	}
-	for i := range reps {
-		if len(lat[i]) == 0 {
-			continue
-		}
-		sort.Float64s(lat[i])
-		reps[i].P50MS = percentile(lat[i], 0.50)
-		reps[i].P99MS = percentile(lat[i], 0.99)
+	if rep.Totals.Late > 0 {
+		fail("%d sends started more than %s after their schedule", rep.Totals.Late, lateLimit)
 	}
-	return reps
+	if cfg.assertCoalescing && rep.CoalescingRatio <= 1 {
+		fail("coalescing ratio %.3f <= 1", rep.CoalescingRatio)
+	}
+	if cfg.assertNo5xx && rep.Totals.Server5xx > 0 {
+		fail("%d submissions hit 5xx", rep.Totals.Server5xx)
+	}
+	if rep.Totals.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "sgxload: warning: %d transport errors\n", rep.Totals.Errors)
+	}
+	return code
 }
 
 // percentile reads the p-quantile from a sorted sample (nearest-rank).

@@ -135,12 +135,6 @@ func (b *Buddy) Free(t *machine.Thread, addr uint32) error {
 	return nil
 }
 
-// OrderOf returns the order of a live block, for bounds derivation.
-func (b *Buddy) OrderOf(addr uint32) (uint8, bool) {
-	o, ok := b.live[addr]
-	return o, ok
-}
-
 // LiveBytes returns the block-rounded live byte count (includes slack).
 func (b *Buddy) LiveBytes() uint64 {
 	return b.liveBytes

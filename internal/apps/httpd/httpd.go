@@ -150,9 +150,6 @@ func NewServer(c *harden.Ctx) *Server {
 	return s
 }
 
-// PrivateKey returns the key object (for the security tests).
-func (s *Server) PrivateKey() harden.Ptr { return s.privKey }
-
 // ServeRequest handles one HTTP request for the static page on a rotating
 // keepalive connection: parse headers into the connection's pool, run the
 // TLS record layer (bulk "encrypt" passes over the body), and copy the page

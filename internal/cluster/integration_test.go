@@ -153,7 +153,16 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 			ts.Close()
 		})
 	}
-	t.Cleanup(node.stop)
+	// stop is a SIGKILL: it leaves the node's workers running, and a job
+	// they finish still persists into the store. t.TempDir's cleanup,
+	// registered above and so run after this one, removes that store, so
+	// wait for the workers first.
+	t.Cleanup(func() {
+		node.stop()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
 	return node
 }
 

@@ -20,8 +20,8 @@
 //
 // The scheduler vocabulary (SubmitRequest, JobStatus, ResultBundle, the
 // state and error sentinels) lives in sched and is re-exported here under
-// its historical names, so API clients (cmd/sgxctl, cmd/benchjson,
-// protocheck, the serve tests) are untouched by the layering.
+// its historical names, so API clients (cmd/sgxctl, protocheck, the
+// serve tests) are untouched by the layering.
 package serve
 
 import (

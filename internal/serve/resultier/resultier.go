@@ -80,10 +80,6 @@ func New(disk *store.Store, maxBytes int64, reg *telemetry.Registry) *Tier {
 	}
 }
 
-// Disk exposes the underlying store for the operations the tier does not
-// mediate (stats, GC enumeration, writability probes).
-func (t *Tier) Disk() *store.Store { return t.disk }
-
 // SetPeerFetch installs the cluster read-through below the disk tier.
 // Safe to call after the tier is in use; nil-safe before it is set.
 func (t *Tier) SetPeerFetch(f PeerFetch) { t.peers.Store(f) }

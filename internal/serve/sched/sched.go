@@ -308,16 +308,8 @@ func (s *Scheduler) Submit(req SubmitRequest) (*Job, error) {
 	}); err != nil {
 		s.log.Printf("journal: %v", err)
 	}
-	if !req.Force {
-		if bundle, meta, ok := s.fetch(rec.Status().Key); ok {
-			s.metrics.Counter("store.hits").Inc()
-			rec.progress.Append(fmt.Sprintf("served from store (saved ~%dms of compute)", meta.ElapsedMS))
-			rec.finish(StateDone, func(st *JobStatus) {
-				st.FromStore = true
-				rec.bundle = bundle
-			})
-			return rec, nil
-		}
+	if !req.Force && s.serveFromStore(rec, st.Key) {
+		return rec, nil
 	}
 	if err := s.queue.Enqueue(rec); err != nil {
 		// The job was journaled but never ran; settle it so replay does
@@ -463,16 +455,8 @@ func (s *Scheduler) runJob(j *Job) {
 
 	// Warm path: the submission-time check may have raced another job
 	// computing the same key, so recheck here where it's cheapest.
-	if !j.req.Force {
-		if bundle, meta, ok := s.fetch(key); ok {
-			s.metrics.Counter("store.hits").Inc()
-			j.progress.Append(fmt.Sprintf("served from store (saved ~%dms of compute)", meta.ElapsedMS))
-			j.finish(StateDone, func(st *JobStatus) {
-				st.FromStore = true
-				j.bundle = bundle
-			})
-			return
-		}
+	if !j.req.Force && s.serveFromStore(j, key) {
+		return
 	}
 	s.metrics.Counter("store.misses").Inc()
 
@@ -612,7 +596,7 @@ func (s *Scheduler) executeEngine(ctx context.Context, j *Job, spec bench.Job) a
 		return nopCloser{buf}, nil
 	}
 	start := time.Now()
-	err, panicked := runSafely(eng, spec, &out, sink)
+	err, panicked := runSafely(func() error { return bench.RunJob(eng, spec, &out, sink) })
 	res := attemptResult{
 		err:      err,
 		panicked: panicked,
@@ -640,22 +624,10 @@ func (s *Scheduler) executeEngine(ctx context.Context, j *Job, spec bench.Job) a
 func (s *Scheduler) executeCompute(ctx context.Context, spec bench.Job) attemptResult {
 	start := time.Now()
 	var res attemptResult
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if protohook.IsCrash(r) {
-					panic(r)
-				}
-				res.panicked = true
-				if e, ok := r.(error); ok {
-					res.err = fmt.Errorf("experiment panicked: %w", e)
-				} else {
-					res.err = fmt.Errorf("experiment panicked: %v", r)
-				}
-			}
-		}()
-		res.bundle, res.err = s.compute(ctx, spec)
-	}()
+	res.err, res.panicked = runSafely(func() (err error) {
+		res.bundle, err = s.compute(ctx, spec)
+		return err
+	})
 	res.elapsed = time.Since(start).Milliseconds()
 	res.aborted = ctx.Err() != nil
 	if res.err == nil && res.bundle == nil && !res.aborted {
@@ -704,12 +676,12 @@ func (s *Scheduler) jobParallel(j *Job) int {
 	return s.parallel
 }
 
-// runSafely executes the job, converting a panic out of the bench layer
-// (bad workload wiring, simulator invariant failures, injected poison
-// cells) into a job error instead of killing the worker. Panic errors are
+// runSafely runs one attempt's work, converting a panic out of it (bad
+// workload wiring, simulator invariant failures, injected poison cells)
+// into a job error instead of killing the worker. Panic errors are
 // wrapped, not flattened, so faultline.IsFault still recognises injected
 // faults through the recovery.
-func runSafely(eng *bench.Engine, spec bench.Job, w io.Writer, csv bench.CSVSink) (err error, panicked bool) {
+func runSafely(work func() error) (err error, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if protohook.IsCrash(r) {
@@ -725,22 +697,30 @@ func runSafely(eng *bench.Engine, spec bench.Job, w io.Writer, csv bench.CSVSink
 			}
 		}
 	}()
-	return bench.RunJob(eng, spec, w, csv), false
+	return work(), false
 }
 
-// fetch loads and decodes a stored bundle; a decode failure is treated as
-// corruption (delete and recompute), mirroring the store's own checks.
-func (s *Scheduler) fetch(key string) (*ResultBundle, store.Meta, bool) {
+// serveFromStore settles j from the result store when key is stored, and
+// reports whether it did. A stored bundle that fails to decode is treated
+// as corruption (deleted, so the caller recomputes), mirroring the
+// store's own checks.
+func (s *Scheduler) serveFromStore(j *Job, key string) bool {
 	body, meta, ok := s.store.Get(key, bench.SimVersion)
 	if !ok {
-		return nil, store.Meta{}, false
+		return false
 	}
 	var bundle ResultBundle
 	if err := json.Unmarshal(body, &bundle); err != nil {
 		s.store.Delete(key)
-		return nil, store.Meta{}, false
+		return false
 	}
-	return &bundle, meta, true
+	s.metrics.Counter("store.hits").Inc()
+	j.progress.Append(fmt.Sprintf("served from store (saved ~%dms of compute)", meta.ElapsedMS))
+	j.finish(StateDone, func(st *JobStatus) {
+		st.FromStore = true
+		j.bundle = &bundle
+	})
+	return true
 }
 
 func (s *Scheduler) persist(key string, spec bench.Job, bundle *ResultBundle, elapsedMS int64) {

@@ -37,9 +37,6 @@ func NewDomains(n int) *Domains {
 	return &Domains{lo: make([]uint32, n), hi: make([]uint32, n), active: -1}
 }
 
-// Tasks returns the number of task slots.
-func (d *Domains) Tasks() int { return len(d.lo) }
-
 // Bind sets task's fault domain to [lo, hi). Binding is scheduler work done
 // at task creation, outside simulated execution, so it charges nothing.
 func (d *Domains) Bind(task int, lo, hi uint32) {
