@@ -57,8 +57,10 @@ test-race-full:
 	$(GO) test -race ./...
 
 # Chaos suites: SIGKILL real sgxd processes mid-sweep, fire injected crash
-# points in the store's torn-write window, and drive faulted sweeps through
-# retry/quarantine — under the race detector. Same gate the CI chaos job runs.
+# points in the store's torn-write window, restart a daemon that a crash
+# rule kills on every start until the journal's start bound fails the job,
+# and drive faulted sweeps whose poisoned jobs fail once — under the race
+# detector. Same gate the CI chaos job runs.
 chaos:
 	SGXD_CHAOS=1 $(GO) test -race -timeout 20m ./internal/faultline/ ./internal/serve/ ./internal/serve/store/ ./internal/cluster/
 

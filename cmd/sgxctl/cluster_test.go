@@ -73,7 +73,7 @@ func TestClusterStatusGolden(t *testing.T) {
 }
 
 func TestClusterStatusSingleNode(t *testing.T) {
-	_, ts := newDaemon(t)
+	ts := newDaemon(t)
 	var out bytes.Buffer
 	c := &client{base: ts.URL, out: &out, errOut: &out}
 	err := c.cluster([]string{"status"})

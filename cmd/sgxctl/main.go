@@ -17,15 +17,15 @@
 //	profile <job-id> [-o FILE]
 //	                       download the telemetry run profile
 //	cancel <job-id>        cancel a queued or running job
-//	quarantine ls          list parked poison jobs (panicked/timed out N times)
-//	requeue <job-id>       release a quarantined job as a fresh submission
-//	                       (any cluster node releases it where it is parked)
 //	experiments            list runnable experiments
 //	cluster status         membership table (with epoch) as this node sees it
 //	cluster join <seed>    tell this daemon to join the fleet at seed's URL
 //	cluster leave          gracefully drain and depart this daemon's node
-//	cluster quarantine ls  fleet-wide quarantine view (all nodes)
 //	gc                     sweep stale results from the store
+//
+// A job runs once: a failed job stores no result and is never retried, so
+// re-running one is a plain `submit` of the same experiment.
+//
 //	ping                   check the daemon is up (liveness)
 //	ready                  check the daemon accepts work (readiness)
 //
@@ -75,10 +75,6 @@ func main() {
 		err = c.profile(rest)
 	case "cancel":
 		err = c.cancel(rest)
-	case "quarantine":
-		err = c.quarantine(rest)
-	case "requeue":
-		err = c.requeue(rest)
 	case "experiments":
 		err = c.experiments()
 	case "cluster":
@@ -111,13 +107,10 @@ commands:
   progress <job-id>             stream progress lines
   profile <job-id> [-o FILE]    download the telemetry run profile
   cancel <job-id>
-  quarantine ls                 list parked poison jobs
-  requeue <job-id>              release a quarantined job (from any cluster node)
   experiments                   list runnable experiments
   cluster status                membership table (with epoch) as this node sees it
   cluster join <seed-url>       tell this daemon to join the fleet at seed
   cluster leave                 gracefully drain and depart this daemon's node
-  cluster quarantine ls         fleet-wide quarantine view
   gc                            sweep stale store entries
   ping                          liveness
   ready                         readiness (journal replayed, store writable)
@@ -194,7 +187,7 @@ func (c *client) submit(args []string) error {
 	policies := fs.String("policies", "", "comma-separated policies (grid)")
 	epcBytes := fs.Uint64("epc-bytes", 0, "EPC capacity override for EPC-aware experiments (0 = server default)")
 	parallel := fs.Int("parallel", 0, "engine workers for this job")
-	deadline := fs.Duration("deadline", 0, "per-attempt deadline (0 = server default)")
+	deadline := fs.Duration("deadline", 0, "deadline for the job's one run; overrunning fails it (0 = server default)")
 	trace := fs.Bool("trace", false, "record structured events in the profile")
 	force := fs.Bool("force", false, "recompute even on a store hit")
 	// Accept `submit fig1 -force` as well as `submit -force fig1`: lift a
@@ -359,44 +352,6 @@ func (c *client) cancel(args []string) error {
 	return nil
 }
 
-// quarantine lists the parked poison jobs with their fault context.
-func (c *client) quarantine(args []string) error {
-	if len(args) != 0 && !(len(args) == 1 && args[0] == "ls") {
-		return fmt.Errorf("usage: quarantine ls")
-	}
-	var jobs []serve.JobStatus
-	if err := c.api(http.MethodGet, "/api/v1/quarantine", nil, &jobs); err != nil {
-		return err
-	}
-	if len(jobs) == 0 {
-		fmt.Fprintln(c.out, "quarantine empty")
-		return nil
-	}
-	for _, st := range jobs {
-		fmt.Fprintf(c.out, "%s\t%s\tattempts=%d\t%s\n", st.ID, st.Job.Experiment, st.Attempts, st.Error)
-	}
-	return nil
-}
-
-// requeue releases one quarantined job; prints the replacement job's ID on
-// stdout (like submit) so scripts can chain into wait/result.
-func (c *client) requeue(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: requeue <job-id>")
-	}
-	var out struct {
-		Quarantined serve.JobStatus `json:"quarantined"`
-		Requeued    serve.JobStatus `json:"requeued"`
-	}
-	if err := c.api(http.MethodPost, "/api/v1/quarantine/"+args[0]+"/requeue", nil, &out); err != nil {
-		return err
-	}
-	fmt.Fprintf(c.errOut, "job %s released as %s (%s)\n",
-		out.Quarantined.ID, out.Requeued.ID, out.Requeued.State)
-	fmt.Fprintln(c.out, out.Requeued.ID)
-	return nil
-}
-
 func (c *client) experiments() error {
 	var infos []serve.ExperimentInfo
 	if err := c.api(http.MethodGet, "/api/v1/experiments", nil, &infos); err != nil {
@@ -422,10 +377,9 @@ func (c *client) experiments() error {
 	return nil
 }
 
-// cluster drives the membership: status table, join/leave churn, and the
-// fleet-wide quarantine view.
+// cluster drives the membership: status table and join/leave churn.
 func (c *client) cluster(args []string) error {
-	const usage = "usage: cluster status | join <seed-url> | leave | quarantine ls"
+	const usage = "usage: cluster status | join <seed-url> | leave"
 	if len(args) == 0 {
 		return errors.New(usage)
 	}
@@ -436,8 +390,6 @@ func (c *client) cluster(args []string) error {
 		return c.clusterJoin(rest)
 	case "leave":
 		return c.clusterLeave(rest)
-	case "quarantine":
-		return c.clusterQuarantine(rest)
 	default:
 		return errors.New(usage)
 	}
@@ -523,30 +475,6 @@ func (c *client) clusterLeave(args []string) error {
 		}
 		time.Sleep(250 * time.Millisecond)
 	}
-}
-
-// clusterQuarantine prints the fleet-wide quarantine view. A listed job is
-// released from any node with requeue: its ID names the node holding it.
-func (c *client) clusterQuarantine(args []string) error {
-	if len(args) != 1 || args[0] != "ls" {
-		return fmt.Errorf("usage: cluster quarantine ls")
-	}
-	var rep cluster.QuarantineReport
-	if err := c.api(http.MethodGet, "/api/v1/cluster/quarantine", nil, &rep); err != nil {
-		return err
-	}
-	total := 0
-	fmt.Fprintf(c.out, "%-8s %-12s %-10s %8s  %s\n", "NODE", "JOB", "EXPERIMENT", "ATTEMPTS", "ERROR")
-	for _, n := range rep.Nodes {
-		for _, st := range n.Jobs {
-			total++
-			fmt.Fprintf(c.out, "%-8s %-12s %-10s %8d  %s\n", n.ID, st.ID, st.Job.Experiment, st.Attempts, st.Error)
-		}
-	}
-	if total == 0 {
-		fmt.Fprintln(c.out, "quarantine empty fleet-wide")
-	}
-	return nil
 }
 
 func (c *client) gc() error {

@@ -2,47 +2,28 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"sgxbounds/internal/bench"
-	"sgxbounds/internal/faultline"
 	"sgxbounds/internal/serve"
 	"sgxbounds/internal/serve/store"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// newDaemon stands up a real sgxd over a manual queue with a poisoned
-// compute stub: every attempt fails with the same injected fault, so
-// driving the worker quarantines a job deterministically. The goldens
-// therefore exercise the daemon's real quarantine wire format, not canned
-// JSON.
-func newDaemon(t *testing.T) (*serve.Server, *httptest.Server) {
+// newDaemon stands up a real single-node sgxd over a manual queue, so the
+// goldens render the daemon's real wire format, not canned JSON.
+func newDaemon(t *testing.T) *httptest.Server {
 	t.Helper()
-	dir := t.TempDir()
-	st, err := store.Open(filepath.Join(dir, "store"))
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(serve.Config{
-		Store:   st,
-		Manual:  true,
-		Backlog: 8,
-		Journal: filepath.Join(dir, "journal.jsonl"),
-		Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
-			return nil, &faultline.Fault{Op: "golden.compute", Detail: spec.Experiment, Kind: "error"}
-		},
-		MaxAttempts: 2,
-		RetryBase:   time.Nanosecond,
-		RetryCap:    time.Nanosecond,
-	})
+	srv, err := serve.New(serve.Config{Store: st, Manual: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,27 +32,7 @@ func newDaemon(t *testing.T) (*serve.Server, *httptest.Server) {
 		ts.Close()
 		srv.Abort()
 	})
-	return srv, ts
-}
-
-// quarantineOne submits one fig2 job and drives the manual worker until it
-// lands in quarantine (two failing attempts under MaxAttempts=2).
-func quarantineOne(t *testing.T, srv *serve.Server) string {
-	t.Helper()
-	j, err := srv.Submit(serve.SubmitRequest{Experiment: "fig2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := j.Status().ID
-	for i := 0; i < 10; i++ {
-		if st, ok := srv.Status(id); ok && st.State == serve.StateQuarantined {
-			return id
-		}
-		srv.RunNext()
-	}
-	st, _ := srv.Status(id)
-	t.Fatalf("job %s never quarantined (state %s)", id, st.State)
-	return ""
+	return ts
 }
 
 // runCommand runs one sgxctl command against the test daemon and returns
@@ -105,34 +66,4 @@ func checkGolden(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Errorf("%s drifted:\n--- want ---\n%s--- got ---\n%s", name, want, got)
 	}
-}
-
-func TestQuarantineLsEmptyGolden(t *testing.T) {
-	_, ts := newDaemon(t)
-	got := runCommand(t, ts.URL, func(c *client) error { return c.quarantine([]string{"ls"}) })
-	checkGolden(t, "quarantine-ls-empty.golden", got)
-}
-
-func TestQuarantineLsGolden(t *testing.T) {
-	srv, ts := newDaemon(t)
-	quarantineOne(t, srv)
-	got := runCommand(t, ts.URL, func(c *client) error { return c.quarantine([]string{"ls"}) })
-	checkGolden(t, "quarantine-ls.golden", got)
-}
-
-func TestRequeueGolden(t *testing.T) {
-	srv, ts := newDaemon(t)
-	id := quarantineOne(t, srv)
-	got := runCommand(t, ts.URL, func(c *client) error { return c.requeue([]string{id}) })
-	checkGolden(t, "requeue.golden", got)
-
-	// A second release of the same job must be refused, and the refusal is
-	// part of the operator contract too.
-	var buf bytes.Buffer
-	c := &client{base: ts.URL, out: &buf, errOut: &buf}
-	err := c.requeue([]string{id})
-	if err == nil {
-		t.Fatal("second requeue of the same job succeeded")
-	}
-	checkGolden(t, "requeue-again.golden", err.Error()+"\n")
 }

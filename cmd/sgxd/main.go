@@ -8,7 +8,7 @@
 // Usage:
 //
 //	sgxd [-addr 127.0.0.1:7483] [-store DIR] [-jobs 1] [-backlog 64] [-parallel 0]
-//	     [-journal FILE] [-faults SPEC.json] [-max-attempts 3] [-deadline 0]
+//	     [-journal FILE] [-faults SPEC.json] [-deadline 0]
 //	     [-cache-bytes N] [-tenant-rps R] [-tenant-burst B] [-tenant-inflight Q]
 //	     [-node-id ID -peers LIST | -node-id ID -join URL] [-advertise URL]
 //	     [-heartbeat 1s] [-dead-after 3]
@@ -35,8 +35,6 @@
 //	GET    /api/v1/jobs/{id}/progress  streamed progress lines
 //	GET    /api/v1/jobs/{id}/profile   telemetry run profile (JSON)
 //	GET    /api/v1/experiments         the experiment registry
-//	GET    /api/v1/quarantine          parked poison jobs
-//	POST   /api/v1/quarantine/{id}/requeue  release one as a fresh job
 //	POST   /api/v1/gc                  sweep stale store entries
 //	GET    /metrics                    Prometheus exposition
 //	GET    /healthz                    liveness (process is up)
@@ -50,17 +48,20 @@
 //	POST   /api/v1/cluster/join        admit a joiner, or {"seed": url} to join
 //	POST   /api/v1/cluster/leave       graceful departure
 //	POST   /api/v1/cluster/replicate   re-replicated result from a peer
-//	GET    /api/v1/cluster/quarantine  fleet-wide quarantine view
 //
 // A forwarded submission is an ordinary POST /api/v1/jobs marked with
 // X-Sgxd-Forwarded. A single-node daemon answers /api/v1/cluster/ with 404.
 //
-// The journal (on by default, next to the store) makes accepted jobs
-// durable: after a crash or SIGKILL, restart replays it — queued and
-// interrupted jobs re-run to byte-identical results, quarantined jobs stay
-// parked. -faults arms a deterministic fault-injection spec (see
-// internal/faultline) for chaos testing the daemon under flaky I/O, poison
-// cells, and crash points.
+// Each job runs once: any error of its run (a panic, a -deadline overrun,
+// an injected fault) settles it failed with the error as its fault
+// context, and a client that wants another try resubmits. The journal (on
+// by default, next to the store) makes accepted jobs durable: after a
+// crash or SIGKILL, restart replays it and queued and interrupted jobs
+// re-run to byte-identical results. It also counts each job's starts, so
+// a job that keeps killing its process is failed after sched.MaxStarts
+// boots instead of crash-looping the daemon. -faults arms a deterministic
+// fault-injection spec (see internal/faultline) for chaos testing the
+// daemon under flaky I/O, poison cells, and crash points.
 //
 // SIGINT/SIGTERM begin a graceful shutdown: admission closes immediately
 // (new submits get 503, /readyz flips in lockstep), queued jobs are
@@ -97,8 +98,7 @@ func main() {
 	drain := flag.Duration("drain-timeout", 10*time.Minute, "max time to drain in-flight jobs on shutdown")
 	journal := flag.String("journal", "", "job journal path (default <store>/../journal.jsonl; \"off\" disables durability)")
 	faults := flag.String("faults", "", "fault-injection spec file (JSON; see internal/faultline)")
-	maxAttempts := flag.Int("max-attempts", 3, "attempts per job before quarantine")
-	deadline := flag.Duration("deadline", 0, "default per-attempt job deadline (0 = unbounded)")
+	deadline := flag.Duration("deadline", 0, "default job deadline (0 = unbounded)")
 	epcBytes := flag.Uint64("epc-bytes", 0, "default EPC capacity for EPC-aware submissions (0 = scaled default)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "in-memory result cache budget in bytes (0 disables the LRU tier)")
 	tenantRPS := flag.Float64("tenant-rps", 0, "per-tenant sustained submissions/sec (0 = unlimited)")
@@ -182,7 +182,6 @@ func main() {
 		Log:               logger,
 		Journal:           journalPath,
 		Faults:            inj,
-		MaxAttempts:       *maxAttempts,
 		DefaultDeadline:   *deadline,
 		DefaultEPCBytes:   *epcBytes,
 		CacheBytes:        *cacheBytes,

@@ -10,9 +10,9 @@
 //
 //   - Membership + liveness: an epoch-versioned membership view, seeded
 //     from the boot node list and gossiped on periodic heartbeats that
-//     also piggyback queue depth, the sender's unsettled jobs, and its
-//     quarantine digest. A higher epoch wins; epoch ties break on the
-//     view digest, so concurrent changes converge without coordination.
+//     also piggyback queue depth and the sender's unsettled jobs. A higher
+//     epoch wins; epoch ties break on the view digest, so concurrent
+//     changes converge without coordination.
 //     Nodes join a running fleet (POST /api/v1/cluster/join) and leave it
 //     gracefully (ring-excluded drain, queue handoff, then departure)
 //     without any restarts. A node silent past the dead-after window is
@@ -39,7 +39,9 @@
 //     successor among the living) re-enqueues the dead node's piggybacked
 //     unsettled jobs, at most once per job per boot incarnation; a leaving
 //     node hands its still-queued jobs to their new owners. Both move
-//     pending work through one path, routeSubmit.
+//     pending work through one path, routeSubmit, and a moved job carries
+//     its start count, so a job that kills every node it starts on stops
+//     at sched.MaxStarts fleet-wide instead of taking each node down.
 //
 // Fault sites (internal/faultline): "cluster.peer.fetch" fails the peer
 // read-through, bitflip on "cluster.peer.body" corrupts received result
@@ -72,10 +74,6 @@ import (
 // journal when it restarts, as before clustering.
 const maxPiggyback = 256
 
-// maxQuarantineDigest bounds the quarantined-job digest carried per
-// heartbeat for fleet-wide quarantine visibility.
-const maxQuarantineDigest = 64
-
 // Local is the slice of the serving stack the cluster drives on its own
 // node. internal/serve implements it over the admission layer and the
 // scheduler; tests implement it directly.
@@ -101,9 +99,6 @@ type Local interface {
 	// BeginDrain closes the node's admission layer; a leaving node calls
 	// it the moment its ring-excluded epoch is gossiped.
 	BeginDrain()
-	// Quarantined lists the node's parked poison jobs — the digest the
-	// heartbeats carry for fleet-wide quarantine visibility.
-	Quarantined(max int) []sched.JobStatus
 }
 
 // Config parameterises a Cluster.
@@ -130,13 +125,12 @@ type Config struct {
 
 // peerState is everything we know about one remote member.
 type peerState struct {
-	node       Node
-	lastSeen   time.Time
-	alive      bool
-	nonce      string // boot incarnation from its last beat
-	queued     int
-	pending    []sched.PendingJob
-	quarantine []sched.JobStatus
+	node     Node
+	lastSeen time.Time
+	alive    bool
+	nonce    string // boot incarnation from its last beat
+	queued   int
+	pending  []sched.PendingJob
 }
 
 // Cluster is one node's view of the cluster.
@@ -319,13 +313,12 @@ func (c *Cluster) selfBeat() Beat {
 	view := c.view.clone()
 	c.mu.Unlock()
 	return Beat{
-		From:       c.self.ID,
-		Nonce:      c.nonce,
-		Queued:     queued,
-		Pending:    c.local.Unsettled(maxPiggyback),
-		Quarantine: c.local.Quarantined(maxQuarantineDigest),
-		View:       view,
-		Unix:       time.Now().Unix(),
+		From:    c.self.ID,
+		Nonce:   c.nonce,
+		Queued:  queued,
+		Pending: c.local.Unsettled(maxPiggyback),
+		View:    view,
+		Unix:    time.Now().Unix(),
 	}
 }
 
@@ -373,7 +366,6 @@ func (c *Cluster) observeBeat(b Beat) {
 	ps.nonce = b.Nonce
 	ps.queued = b.Queued
 	ps.pending = b.Pending
-	ps.quarantine = b.Quarantine
 }
 
 // mergeViewLocked resolves a gossiped view against the local one: the
@@ -506,7 +498,7 @@ func (c *Cluster) Leave(ctx context.Context) error {
 	// succeed by landing the job on another node; the local copy is
 	// cancelled only then (a failed handoff stays local and drains).
 	for _, pj := range c.local.Queued(maxPiggyback) {
-		st, err := c.routeSubmit("cluster-handoff", pj.Req, "")
+		st, err := c.routeSubmit("cluster-handoff", adoptable(pj), "")
 		if err != nil || st.Node == "" || st.Node == c.self.ID {
 			c.log.Printf("cluster: handoff of %s failed (%v); draining it locally", pj.ID, err)
 			continue
@@ -624,10 +616,10 @@ func (c *Cluster) isRecovererLocked(deadID string) bool {
 }
 
 // recover re-enqueues one dead node's jobs, routing each to its owner
-// under the post-death ring (which may be this node or another survivor).
-// A job is marked adopted only once its submission succeeds, so a
-// transient failure retries next tick without double-enqueueing the jobs
-// that made it.
+// under the post-death ring (which may be this node or another survivor),
+// with the start count each had there. A job is marked adopted only once
+// its submission succeeds, so a transient failure retries next tick
+// without double-enqueueing the jobs that made it.
 func (c *Cluster) recover(deadID string, jobs []sched.PendingJob) {
 	c.mu.Lock()
 	nonce := ""
@@ -636,7 +628,7 @@ func (c *Cluster) recover(deadID string, jobs []sched.PendingJob) {
 	}
 	c.mu.Unlock()
 	for _, pj := range jobs {
-		st, err := c.routeSubmit("cluster-recovery", pj.Req, deadID)
+		st, err := c.routeSubmit("cluster-recovery", adoptable(pj), deadID)
 		if err != nil {
 			c.log.Printf("cluster: re-enqueue of %s (from dead %s) failed: %v", pj.ID, deadID, err)
 			continue
@@ -647,6 +639,14 @@ func (c *Cluster) recover(deadID string, jobs []sched.PendingJob) {
 		c.jobsRecovered.Inc()
 		c.log.Printf("cluster: re-enqueued job %s from dead %s as %s on %s", pj.ID, deadID, st.ID, orSelf(st.Node, c.self.ID))
 	}
+}
+
+// adoptable is the submission that moves pj to another node: its request
+// with its start count, which the receiving scheduler journals and bounds.
+func adoptable(pj sched.PendingJob) sched.SubmitRequest {
+	req := pj.Req
+	req.Attempts = pj.Attempts
+	return req
 }
 
 func orSelf(node, self string) string {
@@ -854,48 +854,4 @@ func (c *Cluster) statusReport() Status {
 	st.Nodes = append([]NodeStatus{selfRow}, rows...)
 	sort.Slice(st.Nodes, func(i, j int) bool { return st.Nodes[i].ID < st.Nodes[j].ID })
 	return st
-}
-
-// NodeQuarantine is one node's slice of the fleet-wide quarantine view.
-type NodeQuarantine struct {
-	ID    string            `json:"id"`
-	Addr  string            `json:"addr"`
-	Self  bool              `json:"self,omitempty"`
-	Alive bool              `json:"alive"`
-	Jobs  []sched.JobStatus `json:"jobs"`
-}
-
-// QuarantineReport is the GET /api/v1/cluster/quarantine body: this
-// node's parked jobs plus every peer's last-gossiped quarantine digest,
-// so a poison job parked anywhere is visible from any node (and, because
-// its ID names its holder, requeue-able from any node).
-type QuarantineReport struct {
-	Self  string           `json:"self"`
-	Epoch uint64           `json:"epoch"`
-	Nodes []NodeQuarantine `json:"nodes"`
-}
-
-// quarantineReport aggregates the fleet-wide quarantine view.
-func (c *Cluster) quarantineReport() QuarantineReport {
-	selfJobs := c.local.Quarantined(maxQuarantineDigest)
-	if selfJobs == nil {
-		selfJobs = []sched.JobStatus{}
-	}
-	c.mu.Lock()
-	rep := QuarantineReport{Self: c.self.ID, Epoch: c.view.Epoch}
-	rep.Nodes = append(rep.Nodes, NodeQuarantine{
-		ID: c.self.ID, Addr: c.self.Addr, Self: true, Alive: true, Jobs: selfJobs,
-	})
-	for _, ps := range c.peers {
-		jobs := ps.quarantine
-		if jobs == nil {
-			jobs = []sched.JobStatus{}
-		}
-		rep.Nodes = append(rep.Nodes, NodeQuarantine{
-			ID: ps.node.ID, Addr: ps.node.Addr, Alive: ps.alive, Jobs: jobs,
-		})
-	}
-	c.mu.Unlock()
-	sort.Slice(rep.Nodes, func(i, j int) bool { return rep.Nodes[i].ID < rep.Nodes[j].ID })
-	return rep
 }

@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -37,18 +38,18 @@ type testNode struct {
 	srv      *serve.Server
 	ts       *httptest.Server
 	computes *atomic.Int64
+	journal  string // journal path; empty when built without one
 	release  func() // opens the compute gate (no-op when ungated)
 	stop     func() // idempotent teardown
 }
 
 // nodeOpts tweaks one node's build.
 type nodeOpts struct {
-	workers     int
-	gated       bool // compute blocks until release() (or ctx cancel)
-	faults      *faultline.Injector
-	maxAttempts int
-	poison      int // first N computes of experiment "table4" panic (transient)
-	inFlight    int // per-tenant in-flight quota (0 = unlimited)
+	workers  int
+	gated    bool // compute blocks until release() (or ctx cancel)
+	faults   *faultline.Injector
+	inFlight int  // per-tenant in-flight quota (0 = unlimited)
+	journal  bool // keep a durable job journal beside the store
 }
 
 // output is the deterministic result body the stub computes for a spec —
@@ -91,13 +92,16 @@ func startCluster(t *testing.T, n int, opts func(i int) nodeOpts) []*testNode {
 // membership at birth) and startSoloNode (a joiner that knows only itself).
 func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []cluster.Node, o nodeOpts) *testNode {
 	t.Helper()
-	st, err := store.Open(t.TempDir())
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "store"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	journal := ""
+	if o.journal {
+		journal = filepath.Join(dir, "journal.jsonl")
+	}
 	var computes atomic.Int64
-	var poisonLeft atomic.Int64
-	poisonLeft.Store(int64(o.poison))
 	gate := make(chan struct{})
 	if !o.gated {
 		close(gate)
@@ -106,13 +110,10 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 		Store:             st,
 		Workers:           o.workers,
 		Faults:            o.faults,
-		MaxAttempts:       o.maxAttempts,
 		TenantMaxInFlight: o.inFlight,
+		Journal:           journal,
 		Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
 			computes.Add(1)
-			if spec.Experiment == "table4" && poisonLeft.Add(-1) >= 0 {
-				panic("poison compute") // transient by classification: retries, then quarantine
-			}
 			select {
 			case <-gate:
 			case <-ctx.Done():
@@ -141,6 +142,7 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 		srv:      srv,
 		ts:       ts,
 		computes: &computes,
+		journal:  journal,
 		release:  func() { relOnce.Do(func() { close(gate) }) },
 	}
 	if !o.gated {

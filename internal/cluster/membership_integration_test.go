@@ -1,6 +1,6 @@
 // Membership-churn integration tests: join under load, graceful leave
-// with result evacuation, the epoch-race exactly-once property, and
-// fleet-wide quarantine visibility. Same in-process harness as
+// with result evacuation, the epoch-race exactly-once property, and the
+// start bound on adopted jobs. Same in-process harness as
 // integration_test.go — real serve.Servers over real listeners, a
 // deterministic compute stub as the byte-identity oracle.
 package cluster_test
@@ -9,12 +9,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"sgxbounds/internal/cluster"
 	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 )
 
 // postJSON posts a JSON body and decodes the response, returning the code.
@@ -55,7 +60,7 @@ func sumMetric(t *testing.T, nodes []*testNode, name string) float64 {
 }
 
 // waitTerminal polls until the job is terminal in any state (waitDone
-// fatals on non-done; quarantine tests need the parked state back).
+// fatals on non-done; the start-bound test needs the failed state back).
 func waitTerminal(t *testing.T, base, id string, timeout time.Duration) serve.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -276,79 +281,153 @@ func TestEpochRaceSubmitsLandExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestQuarantineFleetVisibilityAndRemoteRequeue pins cross-node
-// quarantine: a job parked on one node shows up in every node's
-// fleet-wide quarantine view via heartbeat gossip, a requeue issued
-// against a *different* node proxies to the holder (the job ID names it),
-// and the released job runs clean to the oracle bytes.
-func TestQuarantineFleetVisibilityAndRemoteRequeue(t *testing.T) {
-	nodes := startCluster(t, 3, func(i int) nodeOpts {
-		if i == 1 {
-			return nodeOpts{maxAttempts: 2, poison: 2} // both attempts panic → quarantine
+// TestAdoptionCarriesStartCount: a dead node's unsettled jobs move to the
+// survivors with their start counts, so a job that kills every node it
+// starts on stops at MaxStarts fleet-wide instead of taking each node down
+// in turn. A fake n3 heartbeats twelve pending jobs — six that have started
+// MaxStarts-1 times, six that have started MaxStarts times — and dies. Its
+// recoverer routes each job to its owner among n1 and n2, locally or by a
+// forward. A job one start short of the bound reaches its owner's journal
+// with its count and runs; one at the bound settles failed without a
+// compute.
+func TestAdoptionCarriesStartCount(t *testing.T) {
+	var pending []sched.PendingJob
+	for i := 1; i <= 12; i++ {
+		attempts := serve.MaxStarts - 1
+		if i > 6 {
+			attempts = serve.MaxStarts
 		}
-		return nodeOpts{}
-	})
-	holder, viewer := nodes[1], nodes[0]
+		pending = append(pending, sched.PendingJob{
+			ID:       fmt.Sprintf("n3-j%06d", i),
+			Req:      serve.SubmitRequest{Experiment: "fig7", Threads: i},
+			Attempts: attempts,
+		})
+	}
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/v1/cluster/heartbeat" {
+			http.NotFound(w, r)
+			return
+		}
+		json.NewEncoder(w).Encode(cluster.Beat{From: "n3", Nonce: "n3-boot", Pending: pending, Unix: time.Now().Unix()})
+	}))
+	defer dead.Close()
 
-	req := serve.SubmitRequest{Experiment: "table4"}
-	st := submitPinned(t, holder.url, req)
-	if fin := waitTerminal(t, holder.url, st.ID, 30*time.Second); fin.State != serve.StateQuarantined {
-		t.Fatalf("poisoned job state = %s (%s), want quarantined", fin.State, fin.Error)
+	var listeners [2]net.Listener
+	members := make([]cluster.Node, 3)
+	for i := range listeners {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		listeners[i] = ln
+		members[i] = cluster.Node{ID: fmt.Sprintf("n%d", i+1), Addr: "http://" + ln.Addr().String()}
+	}
+	members[2] = cluster.Node{ID: "n3", Addr: dead.URL}
+	nodes := make([]*testNode, 2)
+	for i := range nodes {
+		nodes[i] = buildNode(t, listeners[i], members[i], members, nodeOpts{workers: 1, journal: true})
 	}
 
-	// The parked job must become visible from another node via gossip.
-	findDigest := func() []serve.JobStatus {
-		var rep cluster.QuarantineReport
-		if code := getJSON(t, viewer.url+"/api/v1/cluster/quarantine", &rep); code != http.StatusOK {
-			t.Fatalf("cluster quarantine: HTTP %d", code)
-		}
-		for _, n := range rep.Nodes {
-			if n.ID == holder.id {
-				return n.Jobs
-			}
-		}
-		return nil
-	}
+	// Both survivors must hold n3's pending set before it dies.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		jobs := findDigest()
-		if len(jobs) == 1 && jobs[0].ID == st.ID {
+		ready := true
+		for _, n := range nodes {
+			for _, row := range clusterStatus(t, n.url).Nodes {
+				if row.ID == "n3" && (!row.Alive || row.Pending != len(pending)) {
+					ready = false
+				}
+			}
+		}
+		if ready {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("quarantined job never reached %s's fleet view: %+v", viewer.id, jobs)
+			t.Fatal("survivors never learned n3's pending jobs")
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
+	dead.Close()
 
-	// Requeue from the viewer: the request proxies to the holder, the
-	// poison budget is exhausted, and the release runs clean.
-	var rel struct {
-		Quarantined serve.JobStatus `json:"quarantined"`
-		Requeued    serve.JobStatus `json:"requeued"`
+	// Every pending job is adopted exactly once, on n1 or n2.
+	byKey := map[string]sched.PendingJob{}
+	for _, pj := range pending {
+		byKey[pj.Req.StoreKey()] = pj
 	}
-	peerURL := viewer.url + "/api/v1/cluster/quarantine/" + holder.id + "/" + st.ID + "/requeue"
-	if code := postJSON(t, peerURL, map[string]string{}, nil); code != http.StatusNotFound {
-		t.Fatalf("POST %s: HTTP %d, want 404", peerURL, code)
+	type adopted struct {
+		node *testNode
+		st   serve.JobStatus
 	}
-	if code := postJSON(t, viewer.url+"/api/v1/quarantine/"+st.ID+"/requeue", map[string]string{}, &rel); code != http.StatusOK {
-		t.Fatalf("requeue via %s: HTTP %d", viewer.id, code)
-	}
-	if rel.Quarantined.RequeuedAs != rel.Requeued.ID {
-		t.Fatalf("requeued_as = %q, want %q", rel.Quarantined.RequeuedAs, rel.Requeued.ID)
-	}
-	done := waitDone(t, holder.url, rel.Requeued.ID)
-	want := output(req.Job().Canonical())
-	if got := fetchResult(t, holder.url, done.ID); got != want {
-		t.Fatalf("released job: %q, want %q", got, want)
-	}
-
-	// And the fleet view drains once the job is released.
-	deadline = time.Now().Add(10 * time.Second)
-	for len(findDigest()) != 0 {
+	var got map[string]adopted
+	deadline = time.Now().Add(15 * time.Second)
+	for {
+		got = map[string]adopted{}
+		for _, n := range nodes {
+			var list []serve.JobStatus
+			getJSON(t, n.url+"/api/v1/jobs", &list)
+			for _, st := range list {
+				if st.RecoveredFrom != "n3" {
+					continue
+				}
+				if prev, dup := got[st.Key]; dup {
+					t.Fatalf("job for %s adopted twice: %s and %s", st.Key, prev.st.ID, st.ID)
+				}
+				got[st.Key] = adopted{n, st}
+			}
+		}
+		settled := len(got) == len(pending)
+		for _, a := range got {
+			settled = settled && a.st.State.Terminal()
+		}
+		if settled {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("released job still in the fleet quarantine view")
+			t.Fatalf("%d of %d pending jobs adopted and settled", len(got), len(pending))
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
+
+	holders := map[string]bool{}
+	for key, a := range got {
+		pj := byKey[key]
+		holders[a.node.id] = true
+		if pj.Attempts < serve.MaxStarts {
+			if a.st.State != serve.StateDone || a.st.Attempts != pj.Attempts+1 {
+				t.Errorf("%s (arrived at %d starts) = %s after %d starts, want done after %d", pj.ID, pj.Attempts, a.st.State, a.st.Attempts, pj.Attempts+1)
+			}
+		} else if a.st.State != serve.StateFailed || !strings.Contains(a.st.Error, fmt.Sprintf("started %d times", serve.MaxStarts)) {
+			t.Errorf("%s (arrived at the bound) = %s (%q), want failed with its start count", pj.ID, a.st.State, a.st.Error)
+		}
+		if n := submittedAttempts(t, a.node.journal, a.st.ID); n != pj.Attempts {
+			t.Errorf("%s: %s's journal records %d starts for %s, want %d", pj.ID, a.node.id, n, a.st.ID, pj.Attempts)
+		}
+	}
+	if len(holders) != 2 {
+		t.Errorf("adoptions landed only on %v; the test must cover both the local and the forwarded path", holders)
+	}
+	if c := nodes[0].computes.Load() + nodes[1].computes.Load(); c != 6 {
+		t.Errorf("fleet computed %d times, want 6: only the jobs below the bound may run", c)
+	}
+}
+
+// submittedAttempts reads the start count that a job's submitted record
+// carries in a node's journal (-1 when the job has no submitted record).
+func submittedAttempts(t *testing.T, path, id string) int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		var rec struct {
+			T        string `json:"t"`
+			ID       string `json:"id"`
+			Attempts int    `json:"attempts"`
+		}
+		if json.Unmarshal([]byte(line), &rec) == nil && rec.T == "submitted" && rec.ID == id {
+			return rec.Attempts
+		}
+	}
+	return -1
 }

@@ -15,13 +15,12 @@ type nopLocal struct{}
 func (nopLocal) Admit(string, sched.SubmitRequest, string) (sched.JobStatus, error) {
 	return sched.JobStatus{}, nil
 }
-func (nopLocal) Depth() (int, int)                 { return 0, 64 }
-func (nopLocal) Unsettled(int) []sched.PendingJob  { return nil }
-func (nopLocal) Queued(int) []sched.PendingJob     { return nil }
-func (nopLocal) HasLocal(string) bool              { return false }
-func (nopLocal) Cancel(string) bool                { return false }
-func (nopLocal) BeginDrain()                       {}
-func (nopLocal) Quarantined(int) []sched.JobStatus { return nil }
+func (nopLocal) Depth() (int, int)                { return 0, 64 }
+func (nopLocal) Unsettled(int) []sched.PendingJob { return nil }
+func (nopLocal) Queued(int) []sched.PendingJob    { return nil }
+func (nopLocal) HasLocal(string) bool             { return false }
+func (nopLocal) Cancel(string) bool               { return false }
+func (nopLocal) BeginDrain()                      {}
 
 // tempStore opens an empty store under the test's temp dir.
 func tempStore(t *testing.T) *store.Store {

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"time"
 
 	"sgxbounds/internal/bench"
@@ -31,6 +32,10 @@ const (
 	// that re-enqueues its journaled work, so the receiving node can
 	// annotate the adopted job (JobStatus.RecoveredFrom).
 	RecoveredHeader = "X-Sgxd-Recovered-From"
+	// AttemptsHeader carries an adopted job's start count on a forwarded
+	// submission (sched.SubmitRequest.Attempts), so the owner journals it
+	// and applies sched.MaxStarts.
+	AttemptsHeader = "X-Sgxd-Attempts"
 	// CoalescedHeader is set to "true" on a submit response that attached
 	// to an identical in-flight computation instead of starting its own.
 	// The owner sets it on a forwarded submit, and the forwarding node
@@ -56,16 +61,14 @@ const (
 // once per (node, nonce), and a restarted node arrives with a fresh nonce
 // and a clean slate.
 // The View field is the membership gossip channel: every beat carries the
-// sender's epoch-versioned view, and Quarantine carries its parked-job
-// digest for fleet-wide quarantine visibility.
+// sender's epoch-versioned view.
 type Beat struct {
-	From       string             `json:"from"`
-	Nonce      string             `json:"nonce"`
-	Queued     int                `json:"queued"`
-	Pending    []sched.PendingJob `json:"pending,omitempty"`
-	Quarantine []sched.JobStatus  `json:"quarantine,omitempty"`
-	View       View               `json:"view"`
-	Unix       int64              `json:"unix"`
+	From    string             `json:"from"`
+	Nonce   string             `json:"nonce"`
+	Queued  int                `json:"queued"`
+	Pending []sched.PendingJob `json:"pending,omitempty"`
+	View    View               `json:"view"`
+	Unix    int64              `json:"unix"`
 }
 
 // joinRequest is the body of POST /api/v1/cluster/join, in two forms. A
@@ -134,7 +137,7 @@ func (r *Rejection) Error() string {
 
 // Register mounts the peer endpoints on mux. Peers call heartbeat,
 // results, join and replicate; operators call status, join (the seed
-// form), leave and quarantine.
+// form) and leave.
 func (c *Cluster) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /api/v1/cluster/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.statusReport())
@@ -144,9 +147,6 @@ func (c *Cluster) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/cluster/join", c.serveJoin)
 	mux.HandleFunc("POST /api/v1/cluster/leave", c.serveLeave)
 	mux.HandleFunc("POST /api/v1/cluster/replicate", c.serveReplicate)
-	mux.HandleFunc("GET /api/v1/cluster/quarantine", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.quarantineReport())
-	})
 }
 
 func (c *Cluster) serveBeat(w http.ResponseWriter, r *http.Request) {
@@ -372,6 +372,9 @@ func (c *Cluster) forward(nodeID, tenant string, req sched.SubmitRequest, recove
 	if recoveredFrom != "" {
 		hreq.Header.Set(RecoveredHeader, recoveredFrom)
 	}
+	if req.Attempts > 0 {
+		hreq.Header.Set(AttemptsHeader, strconv.Itoa(req.Attempts))
+	}
 	resp, err := c.client.Do(hreq)
 	if err != nil {
 		return st, false, err
@@ -393,7 +396,7 @@ func (c *Cluster) forward(nodeID, tenant string, req sched.SubmitRequest, recove
 }
 
 // ProxyJob forwards an HTTP request for another node's job (status,
-// result, progress, profile, cancel, requeue) to the node that holds it,
+// result, progress, profile, cancel) to the node that holds it,
 // streaming the response back. The response is always written: either the
 // peer's, or a 502 explaining why the peer could not answer.
 func (c *Cluster) ProxyJob(w http.ResponseWriter, r *http.Request, nodeID string) {

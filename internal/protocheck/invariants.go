@@ -36,11 +36,9 @@ type observation struct {
 // oracle asserts the sgxd durability invariants across one execution. The
 // first failure wins; everything after it is untrusted.
 type oracle struct {
-	program      string
-	acked        map[string]string // job ID -> store key, for completed submit steps
-	observed     map[string]observation
-	requeued     map[string]string // observed successful releases: old ID -> new ID
-	requeuedByUs map[string]bool
+	program  string
+	acked    map[string]string // job ID -> store key, for completed submit steps
+	observed map[string]observation
 	// mustSurvive is the restart contract read off the journal image at
 	// the instant of death (or graceful close): job ID -> whether replay
 	// must restore it. Consumed by afterRestart.
@@ -50,11 +48,9 @@ type oracle struct {
 
 func newOracle(program string) *oracle {
 	return &oracle{
-		program:      program,
-		acked:        map[string]string{},
-		observed:     map[string]observation{},
-		requeued:     map[string]string{},
-		requeuedByUs: map[string]bool{},
+		program:  program,
+		acked:    map[string]string{},
+		observed: map[string]observation{},
 	}
 }
 
@@ -64,26 +60,15 @@ func (o *oracle) fail(invariant, detail string) {
 	}
 }
 
-// ack records a submit (or requeue) step that completed: the client holds
-// a job ID the service acknowledged, durably.
+// ack records a submit step that completed: the client holds a job ID the
+// service acknowledged, durably.
 func (o *oracle) ack(id, key string) { o.acked[id] = key }
-
-// noteRequeue records an observed successful quarantine release.
-func (o *oracle) noteRequeue(oldID, newID string) {
-	if prev, ok := o.requeued[oldID]; ok {
-		o.fail("requeue-exactly-once",
-			fmt.Sprintf("job %s released twice: as %s and again as %s", oldID, prev, newID))
-		return
-	}
-	o.requeued[oldID] = newID
-	o.requeuedByUs[oldID] = true
-}
 
 // observe polls every job after a completed step and checks the
 // monotonicity invariants: a key never changes, an observed terminal state
-// never flips, a done job's result is byte-identical to the canonical
-// output for its spec, and a released quarantine never becomes releasable
-// again.
+// never flips, and a done job's result is byte-identical to the canonical
+// output for its spec. A job whose run always fails or kills its process
+// settles only as failed.
 func (o *oracle) observe(w *world) {
 	if o.violation != nil {
 		return
@@ -116,23 +101,37 @@ func (o *oracle) observe(w *world) {
 				return
 			}
 		}
-		if st.State == serve.StateQuarantined && st.RequeuedAs == "" {
-			if newID, ok := o.requeued[st.ID]; ok {
-				o.fail("requeue-exactly-once",
-					fmt.Sprintf("job %s releasable again after observed release as %s", st.ID, newID))
-				return
-			}
+		poisoned := st.Job.Experiment == expPoison || st.Job.Experiment == expCrashLoop
+		if poisoned && st.State.Terminal() && (st.State != serve.StateFailed || st.Error == "") {
+			o.fail("poison-fails", fmt.Sprintf("job %s (%s) settled %s (%q), want failed with its fault", st.ID, st.Job.Experiment, st.State, st.Error))
+			return
 		}
+	}
+}
+
+// checkCrashLoop bounds the crash-loop job: every run of it takes the
+// process down, so it may run at most MaxStarts times in all — it stops
+// within MaxStarts boots, and once settled it never runs again. Each run
+// ends in a crash, so recoverCrash checks the count after every one.
+func (o *oracle) checkCrashLoop(w *world) {
+	if w.crashLoopRuns > serve.MaxStarts {
+		o.fail("crash-loop-bounded", fmt.Sprintf("crash-loop job ran %d times, bound is %d", w.crashLoopRuns, serve.MaxStarts))
 	}
 }
 
 // noteJournalImage reads the journal as it stands — the crash image, or
 // the file a graceful restart will replay — and derives the restart
-// contract: a submitted job with no settling record (a finished state
-// other than quarantined, or a requeue release) must be restored; a
-// settled job must not be resurrected. This must run before anything
-// compacts the file (the oracle's own idempotence check included), because
-// compaction legitimately forgets settled jobs.
+// contract: a submitted job with no finished record must be restored; a
+// settled job must not be resurrected. A job with two finished records in
+// one image settled twice. The first image of a restart must be read
+// before anything compacts the file (the oracle's own idempotence check
+// included), because compaction legitimately forgets settled jobs.
+//
+// A later image of the same restart (a boot that crashed during recovery)
+// amends the contract rather than replacing it: that boot may have
+// settled jobs before it died — restore fails a job at MaxStarts — and
+// its finished records settle them, while a job its compaction dropped
+// keeps the earlier verdict, and a settled job never becomes owed again.
 //
 // The parse mirrors the journal grammar deliberately at arm's length: the
 // on-disk format is part of the protocol under test, so protocheck reads
@@ -143,7 +142,11 @@ func (o *oracle) noteJournalImage(path string) {
 		o.fail("never-lost", fmt.Sprintf("journal image unreadable: %v", err))
 		return
 	}
-	must := map[string]bool{}
+	must := o.mustSurvive
+	if must == nil {
+		must = map[string]bool{}
+	}
+	finished := map[string]bool{}
 	for _, line := range strings.Split(string(raw), "\n") {
 		if line == "" {
 			continue
@@ -159,17 +162,16 @@ func (o *oracle) noteJournalImage(path string) {
 		}
 		switch rec.T {
 		case "submitted":
-			if rec.Req != nil {
+			if _, known := must[rec.ID]; !known && rec.Req != nil {
 				must[rec.ID] = true
 			}
 		case "finished":
 			if _, ok := must[rec.ID]; ok {
-				// A quarantine verdict parks the job: it must still be
-				// restored. Any other terminal state settles it.
-				must[rec.ID] = rec.State == string(serve.StateQuarantined)
-			}
-		case "requeued":
-			if _, ok := must[rec.ID]; ok {
+				if finished[rec.ID] {
+					o.fail("settled-once", fmt.Sprintf("job %s has a second finished record (%s)", rec.ID, rec.State))
+					return
+				}
+				finished[rec.ID] = true
 				must[rec.ID] = false
 			}
 		}
@@ -272,14 +274,10 @@ func (o *oracle) checkStoreIntegrity(root string) {
 
 // checkReplayIdempotence replays the journal twice through the real code
 // path and requires a fixpoint: the first open compacts, the second open
-// must reconstruct the same jobs (and the same sequence watermark) from
-// the compacted file, and compact it to identical bytes. The journal must
-// be closed (the world aborted or between incarnations) when this runs.
-//
-// One deliberate normalization: compaction keeps *that* a pending job was
-// interrupted but not how many attempts it had burned (a cosmetic field on
-// non-quarantined jobs), so Attempts is zeroed on both sides for pending
-// jobs before comparison.
+// must reconstruct the same jobs — start counts included — and the same
+// sequence watermark from the compacted file, and compact it to identical
+// bytes. The journal must be closed (the world aborted or between
+// incarnations) when this runs.
 func (o *oracle) checkReplayIdempotence(path string) {
 	if o.violation != nil {
 		return
@@ -304,23 +302,11 @@ func (o *oracle) checkReplayIdempotence(path string) {
 			fmt.Sprintf("sequence watermark regressed across compaction: %d -> %d", r1.MaxSeq, r2.MaxSeq))
 		return
 	}
-	j1, j2 := normalizeReplay(r1.Jobs), normalizeReplay(r2.Jobs)
-	if !reflect.DeepEqual(j1, j2) {
-		o.fail("replay-idempotent", fmt.Sprintf("jobs diverge across compaction:\n  first:  %+v\n  second: %+v", j1, j2))
+	if !reflect.DeepEqual(r1.Jobs, r2.Jobs) {
+		o.fail("replay-idempotent", fmt.Sprintf("jobs diverge across compaction:\n  first:  %+v\n  second: %+v", r1.Jobs, r2.Jobs))
 		return
 	}
 	if !bytes.Equal(b1, b2) {
 		o.fail("replay-idempotent", "compaction is not a byte fixpoint")
 	}
-}
-
-func normalizeReplay(jobs []serve.ReplayJob) []serve.ReplayJob {
-	out := make([]serve.ReplayJob, len(jobs))
-	for i, j := range jobs {
-		if !j.Quarantined {
-			j.Attempts = 0
-		}
-		out[i] = j
-	}
-	return out
 }

@@ -13,13 +13,9 @@ type OpKind int
 const (
 	// OpSubmit submits Req to the server (a client POST).
 	OpSubmit OpKind = iota
-	// OpRunNext lets the worker execute one queued job to completion
-	// (including its whole retry/quarantine saga); a no-op when the
-	// backlog is empty.
+	// OpRunNext lets the worker execute one queued job to completion; a
+	// no-op when the backlog is empty.
 	OpRunNext
-	// OpRequeue releases the first quarantined job this execution has not
-	// requeued yet; a no-op when there is none.
-	OpRequeue
 	// OpGC runs a store garbage collection.
 	OpGC
 	// OpRestart restarts the daemon gracefully (journal close, reopen,
@@ -33,8 +29,6 @@ func (k OpKind) String() string {
 		return "submit"
 	case OpRunNext:
 		return "run-next"
-	case OpRequeue:
-		return "requeue"
 	case OpGC:
 		return "gc"
 	case OpRestart:
@@ -73,12 +67,13 @@ func (p Program) steps() int {
 
 // The protocheck experiments: registered as Custom bench experiments so
 // Job.Validate accepts them, but never executed — the world's Compute stub
-// supplies their results. expPoison fails every attempt with an injected
-// fault, driving the retry/quarantine protocol.
+// supplies their results. expPoison fails every run with an injected
+// fault; expCrashLoop takes the process down on every run.
 const (
-	expA      = "protocheck-a"
-	expB      = "protocheck-b"
-	expPoison = "protocheck-poison"
+	expA         = "protocheck-a"
+	expB         = "protocheck-b"
+	expPoison    = "protocheck-poison"
+	expCrashLoop = "protocheck-crash-loop"
 )
 
 var registerOnce sync.Once
@@ -87,7 +82,7 @@ var registerOnce sync.Once
 // bench registry (idempotent; test binaries call Explore many times).
 func registerExperiments() {
 	registerOnce.Do(func() {
-		for _, name := range []string{expA, expB, expPoison} {
+		for _, name := range []string{expA, expB, expPoison, expCrashLoop} {
 			bench.Register(bench.Experiment{
 				Name: name, Desc: "protocheck model experiment (never executed)",
 				Custom: true,
@@ -99,13 +94,14 @@ func registerExperiments() {
 
 // Programs returns the standard scenarios the tests explore. Each is small
 // enough that its schedule space dwarfs any test budget, and together they
-// cover submission races, warm-path/compute races, retry and quarantine,
-// requeue, GC, and both restart flavors.
+// cover submission races, warm-path/compute races, failing and
+// process-killing jobs, GC, and both restart flavors.
 func Programs() []Program {
 	registerExperiments()
 	subA := serve.SubmitRequest{Experiment: expA}
 	subB := serve.SubmitRequest{Experiment: expB}
 	poison := serve.SubmitRequest{Experiment: expPoison}
+	crashLoop := serve.SubmitRequest{Experiment: expCrashLoop}
 	return []Program{
 		{
 			// Two clients race duplicate and distinct submissions against
@@ -119,13 +115,27 @@ func Programs() []Program {
 			},
 		},
 		{
-			// A poison job quarantines and is released; the replacement
-			// quarantines again. Settle-exactly-once under crashes.
-			Name: "quarantine-requeue",
+			// Two submissions of a job whose compute always fails each
+			// settle failed exactly once, under crashes and a graceful
+			// restart, beside a clean job.
+			Name: "poison",
 			Actors: []Actor{
 				{Name: "c1", Ops: []Op{{Kind: OpSubmit, Req: poison}, {Kind: OpSubmit, Req: subA}}},
+				{Name: "c2", Ops: []Op{{Kind: OpSubmit, Req: poison}}},
 				{Name: "w", Ops: []Op{{Kind: OpRunNext}, {Kind: OpRunNext}, {Kind: OpRunNext}}},
-				{Name: "adm", Ops: []Op{{Kind: OpRequeue}}},
+				{Name: "adm", Ops: []Op{{Kind: OpRestart}}},
+			},
+		},
+		{
+			// A job that takes the process down on every run settles failed
+			// within MaxStarts boots and never runs again — a graceful
+			// restart is not a start — while clean jobs beside it converge.
+			Name: "crash-loop",
+			Actors: []Actor{
+				{Name: "c1", Ops: []Op{{Kind: OpSubmit, Req: crashLoop}, {Kind: OpSubmit, Req: subA}}},
+				{Name: "c2", Ops: []Op{{Kind: OpSubmit, Req: subB}}},
+				{Name: "w", Ops: []Op{{Kind: OpRunNext}, {Kind: OpRunNext}}},
+				{Name: "adm", Ops: []Op{{Kind: OpRestart}}},
 			},
 		},
 		{

@@ -8,7 +8,7 @@
 //
 // A Program is a small concurrent scenario: named actors (clients, a
 // worker, an admin), each with a fixed list of operations (submit, run one
-// job, requeue, gc, restart). The explorer runs the program step-atomically:
+// job, gc, restart). The explorer runs the program step-atomically:
 // at each point it chooses which actor's next operation executes, and that
 // operation runs to completion on the explorer's goroutine. Concurrency is
 // therefore modeled as the interleaving of whole operations — there is no

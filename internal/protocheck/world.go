@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"sgxbounds/internal/bench"
 	"sgxbounds/internal/faultline"
@@ -24,8 +23,8 @@ func canonicalOutput(spec bench.Job) string {
 }
 
 // stubCompute replaces the bench engine: instant, deterministic, and
-// poisonable. The poison experiment fails with an injected-fault error so
-// the server classifies it transient — the retry/quarantine path.
+// poisonable. The poison experiment fails every run with an injected-fault
+// error, which settles its job failed.
 func stubCompute(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
 	if spec.Experiment == expPoison {
 		return nil, &faultline.Fault{Op: "protocheck.compute", Detail: spec.Experiment, Kind: "error"}
@@ -47,6 +46,9 @@ type world struct {
 	st         *store.Store
 	breakOrder bool
 	restarted  bool // set by a graceful OpRestart, consumed by the driver
+	// crashLoopRuns counts runs of the crash-loop experiment, each of which
+	// took the process down — across every boot of this execution.
+	crashLoopRuns int
 }
 
 func newWorld(dir string, s *sched, breakOrder bool) (*world, error) {
@@ -85,9 +87,7 @@ func newWorldAt(dir, storeDir string, s *sched, breakOrder bool,
 
 // reboot opens a fresh store handle and server over the world directory —
 // a cold process start. The serve.Config is the protocheck drive: manual
-// queue, stub compute, nanosecond backoff (retries are instant; their
-// ordering, not their timing, is the subject), two attempts before
-// quarantine so the poison saga stays short.
+// queue and stub compute.
 func (w *world) reboot() error {
 	st, err := store.Open(w.storeDir)
 	if err != nil {
@@ -97,15 +97,12 @@ func (w *world) reboot() error {
 		st.BreakCommitOrderForTest(true)
 	}
 	srv, err := serve.New(serve.Config{
-		Store:       st,
-		Manual:      true,
-		Backlog:     32,
-		Journal:     w.journal,
-		Hooks:       w.sched,
-		Compute:     w.compute,
-		MaxAttempts: 2,
-		RetryBase:   time.Nanosecond,
-		RetryCap:    time.Nanosecond,
+		Store:   st,
+		Manual:  true,
+		Backlog: 32,
+		Journal: w.journal,
+		Hooks:   w.sched,
+		Compute: w.run,
 	})
 	if err != nil {
 		return err
@@ -113,6 +110,17 @@ func (w *world) reboot() error {
 	w.srv = srv
 	w.st = st
 	return nil
+}
+
+// run is the world's executor. The crash-loop experiment takes the process
+// down on every run, as a job that hits a Go fatal error or the OOM killer
+// would; everything else goes to the world's compute.
+func (w *world) run(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
+	if spec.Experiment == expCrashLoop {
+		w.crashLoopRuns++
+		panic(&protohook.Crash{Site: "compute." + expCrashLoop})
+	}
+	return w.compute(ctx, spec)
 }
 
 // step runs f, converting a simulated crash (a *protohook.Crash panic from
@@ -133,8 +141,8 @@ func (w *world) step(f func()) (crashed bool) {
 }
 
 // exec performs one program operation against the live server, reporting
-// acks and requeues to the oracle. It runs inside step; a crash unwinds
-// out of it before any oracle bookkeeping for the op.
+// acks to the oracle. It runs inside step; a crash unwinds out of it before
+// any oracle bookkeeping for the op.
 func (w *world) exec(op Op, o *oracle) {
 	switch op.Kind {
 	case OpSubmit:
@@ -147,20 +155,6 @@ func (w *world) exec(op Op, o *oracle) {
 		o.ack(st.ID, st.Key)
 	case OpRunNext:
 		w.srv.RunNext()
-	case OpRequeue:
-		for _, q := range w.srv.Quarantine() {
-			if o.requeuedByUs[q.ID] {
-				continue
-			}
-			old, fresh, err := w.srv.Requeue(q.ID)
-			if err != nil {
-				o.fail("requeue-rejected", fmt.Sprintf("requeue %s: %v", q.ID, err))
-				return
-			}
-			o.noteRequeue(old.ID, fresh.ID)
-			o.ack(fresh.ID, fresh.Key)
-			return
-		}
 	case OpGC:
 		if _, err := w.st.GC(bench.SimVersion); err != nil {
 			o.fail("gc-failed", err.Error())
@@ -181,15 +175,16 @@ func (w *world) exec(op Op, o *oracle) {
 // idempotence), then reboot — which may itself crash at a recovery yield,
 // in which case the loop goes around with one less crash in the budget.
 func (w *world) recoverCrash(o *oracle) {
+	o.checkCrashLoop(w)
 	first := true
 	for {
 		w.srv.Abort()
+		// Every crash image amends the restart contract (see
+		// noteJournalImage). The idempotence check wants the pristine
+		// first one; a second crash during recovery sees an
+		// already-compacted journal, already checked.
+		o.noteJournalImage(w.journal)
 		if first {
-			// The restart contract and the idempotence check both want the
-			// pristine crash image; a second crash during recovery sees an
-			// already-compacted journal — equivalent, already checked, and
-			// forgetful of settled jobs.
-			o.noteJournalImage(w.journal)
 			o.checkReplayIdempotence(w.journal)
 			first = false
 		}
@@ -219,6 +214,7 @@ func (w *world) drain(o *oracle) {
 		crashed := w.step(func() { progressed = w.srv.RunNext() })
 		if crashed {
 			w.recoverCrash(o)
+			o.afterRestart(w)
 			if o.violation != nil {
 				return
 			}
@@ -244,12 +240,12 @@ func (w *world) stateHash(progress []int, crashesUsed int) uint64 {
 	for _, p := range progress {
 		fmt.Fprintf(h, "a%d;", p)
 	}
-	fmt.Fprintf(h, "c%d;", crashesUsed)
+	fmt.Fprintf(h, "c%d;r%d;", crashesUsed, w.crashLoopRuns)
 	sts := w.srv.List()
 	sort.Slice(sts, func(i, j int) bool { return sts[i].ID < sts[j].ID })
 	for _, st := range sts {
-		fmt.Fprintf(h, "%s|%s|%s|%d|%s|%t|%t|%s;",
-			st.ID, st.State, st.Key, st.Attempts, st.RequeuedAs, st.Replayed, st.FromStore, st.Error)
+		fmt.Fprintf(h, "%s|%s|%s|%d|%t|%t|%s;",
+			st.ID, st.State, st.Key, st.Attempts, st.Replayed, st.FromStore, st.Error)
 	}
 	return h.Sum64()
 }

@@ -6,7 +6,7 @@
 //     content address, and backpressure (429 + Retry-After when the
 //     backlog saturates, 503 the instant drain begins).
 //   - internal/serve/sched — the scheduler: bounded queue, durable
-//     journal, retries, deadlines, quarantine. No net/http anywhere.
+//     journal, deadlines, the start bound. No net/http anywhere.
 //   - internal/serve/resultier — the result tier: a bounded in-memory
 //     LRU read-through/write-through over the content-addressed disk
 //     store, so warm hits never touch disk.
@@ -43,22 +43,20 @@ type (
 )
 
 const (
-	StateQueued      = sched.StateQueued
-	StateRunning     = sched.StateRunning
-	StateDone        = sched.StateDone
-	StateFailed      = sched.StateFailed
-	StateCanceled    = sched.StateCanceled
-	StateQuarantined = sched.StateQuarantined
+	StateQueued   = sched.StateQueued
+	StateRunning  = sched.StateRunning
+	StateDone     = sched.StateDone
+	StateFailed   = sched.StateFailed
+	StateCanceled = sched.StateCanceled
+
+	MaxStarts = sched.MaxStarts
 )
 
 // Error sentinels, re-exported as the same values so existing equality
 // checks (`err != serve.ErrShuttingDown`) keep holding.
 var (
-	ErrBacklogFull     = sched.ErrBacklogFull
-	ErrShuttingDown    = sched.ErrShuttingDown
-	ErrNoSuchJob       = sched.ErrNoSuchJob
-	ErrNotQuarantined  = sched.ErrNotQuarantined
-	ErrAlreadyRequeued = sched.ErrAlreadyRequeued
+	ErrBacklogFull  = sched.ErrBacklogFull
+	ErrShuttingDown = sched.ErrShuttingDown
 )
 
 // OpenJournal opens (creating if needed) the journal at path and replays

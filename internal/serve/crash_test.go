@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -246,5 +248,108 @@ func TestCrashPointInTornWriteWindow(t *testing.T) {
 	}
 	if got := resultAt(t, addr, job.ID); got != want.String() {
 		t.Error("post-crash result differs from direct sgxbench output")
+	}
+}
+
+// TestCrashLoopSettlesFailed: a job whose cell kills the process on every
+// start must not crash-loop the daemon. A crash rule on table4's asan cell
+// takes sgxd down each time the job runs (a short delay first lets the
+// submit's 201 out); restarted after every exit, within MaxStarts+1 boots
+// the job must read failed with its start count in the error. The daemon
+// is then ready, and a clean fig2 serves bytes identical to sgxbench.
+func TestCrashLoopSettlesFailed(t *testing.T) {
+	chaosEnabled(t)
+	bin := buildSgxd(t)
+	dir := t.TempDir()
+	spec := faultline.Spec{Rules: []faultline.Rule{
+		{Op: "engine.cell", Match: "table4:asan", Kind: faultline.KindDelay, DelayMS: 300},
+		{Op: "engine.cell", Match: "table4:asan", Kind: faultline.KindCrash},
+	}}
+	specPath := filepath.Join(dir, "faults.json")
+	raw, _ := json.Marshal(spec)
+	if err := os.WriteFile(specPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	addr := freeAddr(t)
+	args := []string{"-addr", addr, "-store", filepath.Join(dir, "store"),
+		"-journal", filepath.Join(dir, "journal.jsonl"), "-faults", specPath}
+
+	var job, fin JobStatus
+boots:
+	for boot := 1; boot <= MaxStarts+1; boot++ {
+		// Boot and wait for readiness or exit: from the second boot on, the
+		// replayed job may kill the process before it ever answers.
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		exited := make(chan struct{})
+		var exitErr error
+		go func() { exitErr = cmd.Wait(); close(exited) }()
+		t.Cleanup(func() { cmd.Process.Kill(); <-exited })
+		for ready := false; !ready; {
+			select {
+			case <-exited:
+				checkCrashExit(t, boot, exitErr)
+				continue boots
+			case <-time.After(50 * time.Millisecond):
+			}
+			if resp, err := http.Get("http://" + addr + "/readyz"); err == nil {
+				resp.Body.Close()
+				ready = resp.StatusCode == http.StatusOK
+			}
+		}
+		if boot == 1 {
+			job = postJob(t, addr, SubmitRequest{Experiment: "table4"})
+		}
+		// The job either settles in this boot or takes the process down.
+		for {
+			select {
+			case <-exited:
+				checkCrashExit(t, boot, exitErr)
+				continue boots
+			case <-time.After(100 * time.Millisecond):
+			}
+			if st, err := jobStatusAt(t, addr, job.ID); err == nil && st.State.Terminal() {
+				fin = st
+				break boots
+			}
+		}
+	}
+	if !fin.State.Terminal() {
+		t.Fatalf("job %s still unsettled after %d boots: the daemon crash-loops", job.ID, MaxStarts+1)
+	}
+	if fin.State != StateFailed || fin.Attempts != MaxStarts || !strings.Contains(fin.Error, fmt.Sprintf("started %d times", MaxStarts)) {
+		t.Fatalf("crash-looping job = %s after %d starts (%q), want failed after %d with the count in its error",
+			fin.State, fin.Attempts, fin.Error, MaxStarts)
+	}
+	resp, err := http.Get("http://" + addr + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after the job settled: %s", resp.Status)
+	}
+	clean := postJob(t, addr, SubmitRequest{Experiment: "fig2"})
+	if st := waitDoneAt(t, addr, clean.ID, time.Minute); st.State != StateDone {
+		t.Fatalf("clean fig2 = %s (%s), want done", st.State, st.Error)
+	}
+	var want bytes.Buffer
+	if err := bench.RunJob(bench.NewEngine(0), bench.Job{Experiment: "fig2"}, &want, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := resultAt(t, addr, clean.ID); got != want.String() {
+		t.Error("fig2 after the crash loop differs from direct sgxbench output")
+	}
+}
+
+// checkCrashExit requires that sgxd died by the injected crash rule.
+func checkCrashExit(t *testing.T, boot int, err error) {
+	t.Helper()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != faultline.CrashExitCode {
+		t.Fatalf("boot %d: sgxd exit = %v, want the crash rule's exit code %d", boot, err, faultline.CrashExitCode)
 	}
 }

@@ -18,8 +18,8 @@ import (
 	"sgxbounds/internal/serve/store"
 )
 
-// newFaultyServer builds a server with an armed fault injector, fast
-// retries, and (optionally) a journal, for the chaos tests.
+// newFaultyServer builds a server with an armed fault injector and
+// (optionally) a journal, for the chaos tests.
 func newFaultyServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	registerTestExperiments()
@@ -35,12 +35,6 @@ func newFaultyServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	if cfg.Parallel == 0 {
 		cfg.Parallel = 4
-	}
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = time.Millisecond
-	}
-	if cfg.RetryCap == 0 {
-		cfg.RetryCap = 5 * time.Millisecond
 	}
 	s, err := New(cfg)
 	if err != nil {
@@ -76,142 +70,66 @@ func metricsText(t *testing.T, ts *httptest.Server) string {
 	return string(raw)
 }
 
-func quarantineList(t *testing.T, ts *httptest.Server) []JobStatus {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/api/v1/quarantine")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var jobs []JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
-		t.Fatal(err)
-	}
-	return jobs
-}
-
-// TestRetryRecoversFromTransientFault: a poison cell that fires once fails
-// the first attempt; the retry runs clean and the final bytes are
-// byte-identical to the unfaulted sgxbench output.
-func TestRetryRecoversFromTransientFault(t *testing.T) {
+// TestPoisonedJobFailsOnceAndResubmitConverges: a poison cell that fires
+// once fails the job on its one run — no retry, the fault in its error,
+// no result — and a plain resubmission, with the rule spent, computes
+// byte-identical output. Resubmitting is how a client re-runs a job.
+func TestPoisonedJobFailsOnceAndResubmitConverges(t *testing.T) {
 	inj := faultline.New(faultline.Spec{Seed: 7, Rules: []faultline.Rule{
 		{Op: "engine.cell", Match: "table4:asan", Kind: faultline.KindPanic, Times: 1},
 	}})
-	_, ts := newFaultyServer(t, Config{Faults: inj, MaxAttempts: 3})
+	_, ts := newFaultyServer(t, Config{Faults: inj})
 
 	st := submit(t, ts, SubmitRequest{Experiment: "table4"})
 	fin := waitTerminal(t, ts, st.ID, 60*time.Second)
-	if fin.State != StateDone {
-		t.Fatalf("state = %s (%s), want done after retry", fin.State, fin.Error)
+	if fin.State != StateFailed || fin.Attempts != 1 || !strings.Contains(fin.Error, "faultline") {
+		t.Fatalf("poisoned job = %s after %d starts (%q), want failed after 1 with the fault", fin.State, fin.Attempts, fin.Error)
 	}
-	if fin.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (one faulted, one clean)", fin.Attempts)
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/result")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := fetchResult(t, ts, st.ID), directOutput(t, "table4"); got != want {
-		t.Error("retried result differs from direct sgxbench output")
-	}
-	if m := metricsText(t, ts); !strings.Contains(m, "sgxd_jobs_retried_total 1") {
-		t.Errorf("metrics missing retry count:\n%s", m)
-	}
-}
-
-// TestQuarantineAndRequeue: a cell poisoned for exactly MaxAttempts fires
-// exhausts the job into quarantine — visible via the API and /metrics with
-// its fault context — and requeueing releases it as a fresh job that now
-// runs clean to byte-identical output.
-func TestQuarantineAndRequeue(t *testing.T) {
-	// One poisoned cell, with exactly enough fire budget to exhaust both
-	// attempts (a broader Match would burn the whole budget inside the
-	// first attempt's cell fan-out).
-	inj := faultline.New(faultline.Spec{Seed: 7, Rules: []faultline.Rule{
-		{Op: "engine.cell", Match: "table4:asan", Kind: faultline.KindPanic, Times: 2},
-	}})
-	_, ts := newFaultyServer(t, Config{Faults: inj, MaxAttempts: 2})
-
-	st := submit(t, ts, SubmitRequest{Experiment: "table4"})
-	fin := waitTerminal(t, ts, st.ID, 60*time.Second)
-	if fin.State != StateQuarantined {
-		t.Fatalf("state = %s (%s), want quarantined", fin.State, fin.Error)
-	}
-	if fin.Attempts != 2 || !strings.Contains(fin.Error, "faultline") {
-		t.Errorf("quarantine context = attempts %d, error %q", fin.Attempts, fin.Error)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGone {
+		t.Errorf("result of failed job: %s, want 410", resp.Status)
 	}
 
-	if q := quarantineList(t, ts); len(q) != 1 || q[0].ID != st.ID {
-		t.Fatalf("quarantine list = %+v, want [%s]", q, st.ID)
+	again := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	if again.ID == st.ID {
+		t.Fatalf("resubmission attached to the failed job %s", st.ID)
+	}
+	fin2 := waitTerminal(t, ts, again.ID, 60*time.Second)
+	if fin2.State != StateDone {
+		t.Fatalf("resubmission = %s (%s), want done", fin2.State, fin2.Error)
+	}
+	if got, want := fetchResult(t, ts, again.ID), directOutput(t, "table4"); got != want {
+		t.Error("resubmitted result differs from direct sgxbench output")
 	}
 	m := metricsText(t, ts)
-	for _, want := range []string{"sgxd_quarantined_jobs 1", "sgxd_jobs_quarantined_total 1", "sgxd_faults_injected_total 2"} {
+	for _, want := range []string{"sgxd_jobs_failed_total 1", "sgxd_jobs_completed_total 1", "sgxd_faults_injected_total 1"} {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
-
-	// Release: the rule's fire budget is exhausted, so the fresh job runs
-	// clean.
-	resp, err := http.Post(ts.URL+"/api/v1/quarantine/"+st.ID+"/requeue", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rel struct {
-		Quarantined JobStatus `json:"quarantined"`
-		Requeued    JobStatus `json:"requeued"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&rel); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("requeue: %s", resp.Status)
-	}
-	if rel.Quarantined.RequeuedAs != rel.Requeued.ID {
-		t.Errorf("requeued_as = %q, want %q", rel.Quarantined.RequeuedAs, rel.Requeued.ID)
-	}
-	fin2 := waitTerminal(t, ts, rel.Requeued.ID, 60*time.Second)
-	if fin2.State != StateDone {
-		t.Fatalf("released job state = %s (%s)", fin2.State, fin2.Error)
-	}
-	if got, want := fetchResult(t, ts, fin2.ID), directOutput(t, "table4"); got != want {
-		t.Error("released job's result differs from direct sgxbench output")
-	}
-	if q := quarantineList(t, ts); len(q) != 0 {
-		t.Errorf("quarantine still lists released job: %+v", q)
-	}
-	if m := metricsText(t, ts); !strings.Contains(m, "sgxd_quarantined_jobs 0") {
-		t.Error("quarantine gauge did not drop after release")
-	}
-
-	// A second release of the same job is refused.
-	resp2, err := http.Post(ts.URL+"/api/v1/quarantine/"+st.ID+"/requeue", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusConflict {
-		t.Errorf("double requeue: %s, want 409", resp2.Status)
-	}
 }
 
-// TestDeadlineQuarantinesWedgedJob: a job that cannot finish inside its
-// deadline is aborted at the next hierarchy probe, retried, and finally
-// quarantined with a deadline error — it never wedges the worker.
-func TestDeadlineQuarantinesWedgedJob(t *testing.T) {
-	_, ts := newFaultyServer(t, Config{MaxAttempts: 2})
+// TestDeadlineFailsWedgedJob: a job that cannot finish inside its deadline
+// is aborted at the next hierarchy probe and failed with a deadline error
+// after its one run — it never wedges the worker.
+func TestDeadlineFailsWedgedJob(t *testing.T) {
+	_, ts := newFaultyServer(t, Config{})
 	st := submit(t, ts, SubmitRequest{Experiment: "sleepy", DeadlineMS: 150})
 	fin := waitTerminal(t, ts, st.ID, 30*time.Second)
-	if fin.State != StateQuarantined {
-		t.Fatalf("state = %s (%s), want quarantined", fin.State, fin.Error)
-	}
-	if fin.Attempts != 2 || !strings.Contains(fin.Error, "deadline") {
-		t.Errorf("quarantine context = attempts %d, error %q", fin.Attempts, fin.Error)
+	if fin.State != StateFailed || fin.Attempts != 1 || !strings.Contains(fin.Error, "deadline") {
+		t.Fatalf("wedged job = %s after %d starts (%q), want failed after 1 with a deadline error", fin.State, fin.Attempts, fin.Error)
 	}
 }
 
-// TestUserCancelBeatsRetry: a client cancellation during a faulted run
-// lands the job in canceled, not quarantined — the deadline/retry
-// machinery must not reclassify an explicit abort.
+// TestUserCancelBeatsRetry: a client cancellation during a run lands the
+// job in canceled, not failed — the deadline and failure handling must not
+// reclassify an explicit abort.
 func TestUserCancelBeatsRetry(t *testing.T) {
-	_, ts := newFaultyServer(t, Config{MaxAttempts: 5})
+	_, ts := newFaultyServer(t, Config{})
 	st := submit(t, ts, SubmitRequest{Experiment: "sleepy"})
 	waitState(t, ts, st.ID, 5*time.Second, func(s JobState) bool { return s == StateRunning })
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+st.ID, nil)
@@ -226,23 +144,54 @@ func TestUserCancelBeatsRetry(t *testing.T) {
 	}
 }
 
+// TestSubmitJournalFailureIs503: a job whose submitted record cannot be
+// journaled is not accepted — sgxd answers 503, and the job is not left in
+// the queue to run without a durable record.
+func TestSubmitJournalFailureIs503(t *testing.T) {
+	registerTestExperiments()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: st, Manual: true, Journal: filepath.Join(t.TempDir(), "journal.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	s.Abort() // the journal file is closed; every append now fails
+
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(`{"experiment":"fig2"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("submit with a dead journal: %s %s, want 503", resp.Status, body)
+	}
+	if jobs := s.List(); len(jobs) != 0 {
+		t.Errorf("a job the journal never recorded is queued: %+v", jobs)
+	}
+}
+
 // TestFaultedSweepConverges is the acceptance scenario: a run with >10%
-// store I/O faults plus one poison cell completes — the poisoned job is
-// quarantined and surfaced, every other result is byte-identical to the
-// clean output, and /metrics accounts for the injected faults.
+// store I/O faults plus one poison cell completes — the poisoned job fails
+// with its fault, every other result is byte-identical to the clean
+// output, and /metrics accounts for the injected faults.
 func TestFaultedSweepConverges(t *testing.T) {
 	inj := faultline.New(faultline.Spec{Seed: 42, Rules: []faultline.Rule{
 		{Op: "store.*", Kind: faultline.KindError, Rate: 0.15},
 		{Op: "engine.cell", Match: "table4:baggy", Kind: faultline.KindPanic},
 	}})
-	_, ts := newFaultyServer(t, Config{Faults: inj, MaxAttempts: 2})
+	_, ts := newFaultyServer(t, Config{Faults: inj})
 
 	poisoned := submit(t, ts, SubmitRequest{Experiment: "table4"})
 	clean := submit(t, ts, SubmitRequest{Experiment: "fig2"})
 
 	finP := waitTerminal(t, ts, poisoned.ID, 120*time.Second)
-	if finP.State != StateQuarantined {
-		t.Fatalf("poisoned job = %s (%s), want quarantined", finP.State, finP.Error)
+	if finP.State != StateFailed || !strings.Contains(finP.Error, "table4:baggy") {
+		t.Fatalf("poisoned job = %s (%s), want failed with the poison cell's fault", finP.State, finP.Error)
 	}
 	finC := waitTerminal(t, ts, clean.ID, 120*time.Second)
 	if finC.State != StateDone {
@@ -262,35 +211,34 @@ func TestFaultedSweepConverges(t *testing.T) {
 		t.Error("resubmission under store faults served different bytes")
 	}
 
-	if q := quarantineList(t, ts); len(q) != 1 || q[0].ID != poisoned.ID {
-		t.Errorf("quarantine list = %+v, want the poisoned job", q)
-	}
 	m := metricsText(t, ts)
-	if !strings.Contains(m, "sgxd_quarantined_jobs 1") {
-		t.Error("metrics missing quarantine gauge")
+	if !strings.Contains(m, "sgxd_jobs_failed_total 1") {
+		t.Error("metrics do not count the poisoned job as failed")
 	}
 	if strings.Contains(m, "sgxd_faults_injected_total 0") {
 		t.Error("metrics report zero injected faults in a faulted run")
 	}
 }
 
-// TestJournalReplayResumesJobs: a journal carrying a pending job and a
-// quarantined verdict (as left by a crashed daemon) is replayed on boot —
-// the pending job re-runs to byte-identical output under its original ID,
-// the quarantined job stays parked, and fresh IDs continue past the
-// replayed sequence.
+// TestJournalReplayResumesJobs: a journal carrying an interrupted job and
+// one that has already started MaxStarts times (as left by a daemon that
+// job kept killing) is replayed on boot — the interrupted job re-runs to
+// byte-identical output under its original ID, the exhausted one settles
+// failed with its start count and without running, and fresh IDs continue
+// past the replayed sequence.
 func TestJournalReplayResumesJobs(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "journal.jsonl")
 
 	// Write the crashed daemon's journal by hand, in the documented JSONL
 	// record grammar (see internal/serve/sched/journal.go): j7 was accepted
-	// and interrupted mid-attempt, j8 was quarantined.
+	// and interrupted mid-run, j8 started three times, as compaction folds
+	// its started records.
 	records := strings.Join([]string{
 		`{"t":"submitted","id":"j000007","req":{"experiment":"table4"},"unix":50}`,
 		`{"t":"started","id":"j000007"}`,
 		`{"t":"submitted","id":"j000008","req":{"experiment":"fig2"},"unix":51}`,
-		`{"t":"finished","id":"j000008","state":"quarantined","error":"poison cell","attempts":3}`,
+		`{"t":"started","id":"j000008","attempts":3}`,
 	}, "\n") + "\n"
 	if err := os.WriteFile(journal, []byte(records), 0o644); err != nil {
 		t.Fatal(err)
@@ -310,12 +258,12 @@ func TestJournalReplayResumesJobs(t *testing.T) {
 		t.Error("replayed job's result differs from direct sgxbench output")
 	}
 
-	parked := getStatus(t, ts, "j000008")
-	if parked.State != StateQuarantined || parked.Error != "poison cell" || parked.Attempts != 3 {
-		t.Fatalf("parked job = %+v, want quarantined(poison cell, 3)", parked)
+	exhausted := getStatus(t, ts, "j000008")
+	if exhausted.State != StateFailed || exhausted.Attempts != MaxStarts || !strings.Contains(exhausted.Error, "started 3 times") {
+		t.Fatalf("exhausted job = %+v, want failed after %d starts", exhausted, MaxStarts)
 	}
-	if q := quarantineList(t, ts); len(q) != 1 || q[0].ID != "j000008" {
-		t.Errorf("quarantine list = %+v", q)
+	if exhausted.StartedUnix != 0 {
+		t.Errorf("exhausted job ran again: %+v", exhausted)
 	}
 
 	fresh := submit(t, ts, SubmitRequest{Experiment: "table4"})

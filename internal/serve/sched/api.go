@@ -1,7 +1,13 @@
 // Package sched is sgxd's scheduler layer: the bounded job queue, the
-// durable job journal, per-job deadlines, bounded retries with backoff,
-// and poison-job quarantine — everything between "a job was admitted" and
+// durable job journal, per-job deadlines, and the journaled bound on how
+// often one job may start — everything between "a job was admitted" and
 // "a result is durable", behind a transport-agnostic interface.
+//
+// A job runs once per process. The simulator is deterministic, so an
+// attempt that fails would fail the same way again: any error settles the
+// job failed, and a client that wants another try resubmits. Only a job
+// that takes its process down is started again, by journal replay or by
+// a cluster node that adopts it, and MaxStarts bounds that.
 //
 // The package deliberately has no net/http dependency (enforced by a
 // test): the HTTP front door lives in internal/serve, and a future cluster
@@ -43,17 +49,22 @@ type SubmitRequest struct {
 	// default). Deliberately not part of the job's identity: engine results
 	// are byte-identical for every worker count.
 	Parallel int `json:"parallel,omitempty"`
-	// DeadlineMS bounds each attempt of this job in wall-clock
-	// milliseconds (0 = the server's default deadline). An attempt that
-	// overruns is aborted at its next memory-hierarchy probe and retried;
-	// a job that times out repeatedly is quarantined. Like Parallel, not
-	// part of the job's identity.
+	// DeadlineMS bounds this job's run in wall-clock milliseconds (0 =
+	// the server's default deadline). A run that overruns is aborted at
+	// its next memory-hierarchy probe and the job fails. Like Parallel,
+	// not part of the job's identity.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Trace additionally records structured events in the job's telemetry
 	// profile (heavier; metrics are always collected).
 	Trace bool `json:"trace,omitempty"`
 	// Force recomputes even when the store already holds the result.
 	Force bool `json:"force,omitempty"`
+
+	// Attempts is the start count a job arrives with when a cluster node
+	// adopts it from a dead or leaving peer (PendingJob.Attempts). Submit
+	// journals it as the job's count so far, and applies MaxStarts to it.
+	// Never on the request body: a forward carries it in a header.
+	Attempts int `json:"-"`
 }
 
 // Job extracts the identity portion of the request.
@@ -84,19 +95,19 @@ const (
 	StateDone     JobState = "done"
 	StateFailed   JobState = "failed"
 	StateCanceled JobState = "canceled"
-	// StateQuarantined parks a poison job: one that panicked or timed out
-	// on every allowed attempt. Parked jobs are never retried implicitly;
-	// they persist across restarts (via the journal) with their fault
-	// context, and are released explicitly through the quarantine API
-	// (`sgxctl requeue`), which resubmits the request as a fresh job.
-	StateQuarantined JobState = "quarantined"
 )
 
-// Terminal reports whether the state is final (quarantined is final for
-// the job record; release happens by resubmission, not resurrection).
+// Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled || s == StateQuarantined
+	return s == StateDone || s == StateFailed || s == StateCanceled
 }
+
+// MaxStarts bounds how often one job may start without settling. Each
+// start is journaled before the job computes, and the count survives
+// compaction and adoption by another cluster node. A job whose count
+// reaches MaxStarts has taken its process down that many times: it is
+// settled failed instead of started again.
+const MaxStarts = 3
 
 // CellStats echoes the engine's cache statistics for one job: how many
 // cells were served from the in-engine memo and how many actually
@@ -116,15 +127,13 @@ type JobStatus struct {
 	Error     string    `json:"error,omitempty"`
 	ElapsedMS int64     `json:"elapsed_ms,omitempty"`
 	Cells     CellStats `json:"cells"`
-	// Attempts counts execution attempts (>1 means retries happened); the
-	// fault context of a quarantined job is this plus Error.
-	Attempts int `json:"attempts,omitempty"`
-	// RequeuedAs names the fresh job a quarantined job was released as.
-	RequeuedAs   string `json:"requeued_as,omitempty"`
-	Replayed     bool   `json:"replayed,omitempty"` // resumed from the journal at boot
-	CreatedUnix  int64  `json:"created_unix"`
-	StartedUnix  int64  `json:"started_unix,omitempty"`
-	FinishedUnix int64  `json:"finished_unix,omitempty"`
+	// Attempts counts the job's starts, on this node and, for an adopted
+	// job, on the nodes before it (see MaxStarts).
+	Attempts     int   `json:"attempts,omitempty"`
+	Replayed     bool  `json:"replayed,omitempty"` // resumed from the journal at boot
+	CreatedUnix  int64 `json:"created_unix"`
+	StartedUnix  int64 `json:"started_unix,omitempty"`
+	FinishedUnix int64 `json:"finished_unix,omitempty"`
 	// Node names the cluster node executing this job (stamped by the HTTP
 	// layer; empty outside cluster mode).
 	Node string `json:"node,omitempty"`
@@ -133,13 +142,15 @@ type JobStatus struct {
 	RecoveredFrom string `json:"recovered_from,omitempty"`
 }
 
-// PendingJob pairs a job's ID with its resubmittable request — the unit
-// the cluster layer moves between nodes: heartbeats piggyback each node's
-// unsettled set so survivors can adopt a dead node's work, and a leaving
-// node hands its queued jobs to their new owners.
+// PendingJob pairs a job's ID with its resubmittable request and its start
+// count — the unit the cluster layer moves between nodes: heartbeats
+// piggyback each node's unsettled set so survivors can adopt a dead node's
+// work, and a leaving node hands its queued jobs to their new owners. The
+// count travels with the job, so MaxStarts holds across the fleet.
 type PendingJob struct {
-	ID  string        `json:"id"`
-	Req SubmitRequest `json:"req"`
+	ID       string        `json:"id"`
+	Req      SubmitRequest `json:"req"`
+	Attempts int           `json:"attempts,omitempty"`
 }
 
 // ResultBundle is the store body format: the experiment's table text

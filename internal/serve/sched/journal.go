@@ -17,25 +17,25 @@ import (
 // The job journal is sgxd's crash-durability layer: an append-only JSONL
 // file recording every job's lifecycle transitions, fsync'd per record. On
 // boot the journal is replayed — jobs that were queued or running when the
-// process died are resubmitted (their IDs preserved), quarantined jobs are
-// restored parked — and then compacted, so the file holds only live state
-// plus the records appended since boot.
+// process died are resubmitted, their IDs preserved — and then compacted,
+// so the file holds only live state plus the records appended since boot.
 //
 // Record stream grammar (one JSON object per line):
 //
 //	{"t":"submitted","id":"j000001","key":"...","req":{...},"unix":...}
-//	{"t":"started","id":"j000001","unix":...}          // one per attempt
-//	{"t":"finished","id":"j000001","state":"done",...} // done|failed|canceled|quarantined
-//	{"t":"requeued","id":"j000001","new":"j000005"}    // quarantine release
+//	{"t":"started","id":"j000001","unix":...}          // one per start
+//	{"t":"finished","id":"j000001","state":"done",...} // done|failed|canceled
 //	{"t":"seq","id":"j000042"}                         // compaction watermark
 //
 // A job with a submitted record and no finished record is pending: it is
 // re-enqueued on replay (a crash between "started" and "finished" re-runs
 // the job — results are deterministic and cached, so convergence is
-// byte-identical). A finished record with state "quarantined" parks the
-// job across restarts until a "requeued" record releases it. A torn final
-// line (the crash landed mid-append) is tolerated and dropped; replay
-// stops at the first unparsable line.
+// byte-identical). Its start count is the sum over its started records,
+// each counting one start unless it carries "attempts": compaction folds
+// a job's starts into one record that does, and a job adopted from
+// another cluster node has its submitted record carry the starts it made
+// there. A torn final line (the crash landed mid-append) is tolerated and
+// dropped; replay stops at the first unparsable line.
 type journalRecord struct {
 	T        string         `json:"t"`
 	ID       string         `json:"id"`
@@ -45,7 +45,6 @@ type journalRecord struct {
 	State    JobState       `json:"state,omitempty"`
 	Error    string         `json:"error,omitempty"`
 	Attempts int            `json:"attempts,omitempty"`
-	New      string         `json:"new,omitempty"` // requeued: replacement job ID
 }
 
 // ReplayJob is one job reconstructed from the journal at boot.
@@ -53,10 +52,7 @@ type ReplayJob struct {
 	ID          string
 	Req         SubmitRequest
 	CreatedUnix int64
-	Quarantined bool // parked; restore without re-running
-	Interrupted bool // had started at least one attempt when the process died
-	Attempts    int
-	Error       string
+	Attempts    int // starts without settling; 0 = never started
 }
 
 // Replay is the reconstructed journal state.
@@ -110,7 +106,7 @@ func readJournal(path string) (Replay, error) {
 
 	type jobState struct {
 		ReplayJob
-		settled bool // finished (non-quarantine) or requeued
+		settled bool // has a finished record
 	}
 	jobs := make(map[string]*jobState)
 	var order []string
@@ -140,27 +136,15 @@ func readJournal(path string) (Replay, error) {
 			if _, ok := jobs[rec.ID]; !ok {
 				jobs[rec.ID] = &jobState{ReplayJob: ReplayJob{
 					ID: rec.ID, Req: *rec.Req, CreatedUnix: rec.Unix,
+					Attempts: addStarts(0, rec.Attempts),
 				}}
 				order = append(order, rec.ID)
 			}
 		case "started":
 			if j, ok := jobs[rec.ID]; ok {
-				j.Interrupted = true
-				j.Attempts++
+				j.Attempts = addStarts(j.Attempts, max(rec.Attempts, 1))
 			}
 		case "finished":
-			if j, ok := jobs[rec.ID]; ok {
-				if rec.State == StateQuarantined {
-					j.Quarantined = true
-					j.Error = rec.Error
-					if rec.Attempts > 0 {
-						j.Attempts = rec.Attempts
-					}
-				} else {
-					j.settled = true
-				}
-			}
-		case "requeued":
 			if j, ok := jobs[rec.ID]; ok {
 				j.settled = true
 			}
@@ -179,10 +163,17 @@ func readJournal(path string) (Replay, error) {
 	return replay, nil
 }
 
+// addStarts adds n journaled starts to a count, saturating at MaxStarts:
+// past the bound the job is settled, so a larger count means nothing, and
+// a corrupt record cannot overflow it.
+func addStarts(count, n int) int {
+	return min(count+min(max(n, 0), MaxStarts), MaxStarts)
+}
+
 // compactJournal rewrites the journal to hold exactly the surviving state:
-// a submitted record per live job, plus the quarantine verdicts. Staged
-// next to the journal and renamed into place, so a crash mid-compaction
-// leaves the previous journal intact.
+// a submitted record per live job, plus one started record carrying its
+// start count. Staged next to the journal and renamed into place, so a
+// crash mid-compaction leaves the previous journal intact.
 func compactJournal(path string, replay Replay, hooks protohook.Hooks) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("journal: %w", err)
@@ -211,19 +202,13 @@ func compactJournal(path string, replay Replay, hooks protohook.Hooks) error {
 			if err := enc.Encode(rec); err != nil {
 				return err
 			}
-			// One started record preserves Interrupted across the rewrite —
-			// for quarantined jobs too, so a replay of the compacted file
-			// reconstructs the same ReplayJob the compaction saw (protocheck
-			// asserts this round-trip is a fixpoint).
-			if j.Interrupted {
-				if err := enc.Encode(journalRecord{T: "started", ID: j.ID}); err != nil {
-					return err
-				}
-			}
-			if j.Quarantined {
-				rec := journalRecord{T: "finished", ID: j.ID, State: StateQuarantined,
-					Error: j.Error, Attempts: j.Attempts}
-				if err := enc.Encode(rec); err != nil {
+			// One started record carries the start count across the
+			// rewrite, so a job that keeps killing its process reaches
+			// MaxStarts however often the journal is compacted, and a
+			// replay of the compacted file reconstructs the same ReplayJob
+			// (protocheck asserts this round-trip is a fixpoint).
+			if j.Attempts > 0 {
+				if err := enc.Encode(journalRecord{T: "started", ID: j.ID, Attempts: j.Attempts}); err != nil {
 					return err
 				}
 			}

@@ -19,7 +19,8 @@ func openJournalT(t *testing.T, path string) (*Journal, Replay) {
 }
 
 // TestJournalReplaySemantics: each record combination reconstructs the
-// right job state — pending, interrupted, quarantined, or settled.
+// right job state — pending, interrupted with its start count, adopted with
+// the count it arrived with, or settled.
 func TestJournalReplaySemantics(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	jn, replay := openJournalT(t, path)
@@ -31,22 +32,21 @@ func TestJournalReplaySemantics(t *testing.T) {
 	records := []journalRecord{
 		// j1: pending (accepted, never started).
 		{T: "submitted", ID: "j000001", Req: req("fig2"), Unix: 100},
-		// j2: interrupted mid-attempt.
+		// j2: interrupted mid-run, twice.
 		{T: "submitted", ID: "j000002", Req: req("table4"), Unix: 101},
+		{T: "started", ID: "j000002"},
 		{T: "started", ID: "j000002"},
 		// j3: finished cleanly — settled.
 		{T: "submitted", ID: "j000003", Req: req("fig2"), Unix: 102},
 		{T: "started", ID: "j000003"},
 		{T: "finished", ID: "j000003", State: StateDone},
-		// j4: quarantined with fault context — parked.
+		// j4: failed — settled like any other verdict.
 		{T: "submitted", ID: "j000004", Req: req("table4"), Unix: 103},
 		{T: "started", ID: "j000004"},
-		{T: "started", ID: "j000004"},
-		{T: "finished", ID: "j000004", State: StateQuarantined, Error: "poison cell", Attempts: 2},
-		// j5: quarantined then released — settled.
-		{T: "submitted", ID: "j000005", Req: req("fig2"), Unix: 104},
-		{T: "finished", ID: "j000005", State: StateQuarantined, Error: "x", Attempts: 3},
-		{T: "requeued", ID: "j000005", New: "j000006"},
+		{T: "finished", ID: "j000004", State: StateFailed, Error: "poison cell"},
+		// j5: adopted after two starts on another node, started once here.
+		{T: "submitted", ID: "j000005", Req: req("fig2"), Unix: 104, Attempts: 2},
+		{T: "started", ID: "j000005"},
 	}
 	for _, rec := range records {
 		if err := jn.Append(rec); err != nil {
@@ -64,22 +64,21 @@ func TestJournalReplaySemantics(t *testing.T) {
 		byID[j.ID] = j
 	}
 	if len(byID) != 3 {
-		t.Fatalf("replayed %d jobs (%v), want j1, j2, j4", len(byID), replay.Jobs)
+		t.Fatalf("replayed %d jobs (%v), want j1, j2, j5", len(byID), replay.Jobs)
 	}
-	if j := byID["j000001"]; j.Interrupted || j.Quarantined || j.Req.Experiment != "fig2" || j.CreatedUnix != 100 {
+	if j := byID["j000001"]; j.Attempts != 0 || j.Req.Experiment != "fig2" || j.CreatedUnix != 100 {
 		t.Errorf("j1 = %+v, want pending fig2", j)
 	}
-	if j := byID["j000002"]; !j.Interrupted || j.Quarantined || j.Attempts != 1 {
-		t.Errorf("j2 = %+v, want interrupted after 1 attempt", j)
+	if j := byID["j000002"]; j.Attempts != 2 {
+		t.Errorf("j2 = %+v, want interrupted after 2 starts", j)
 	}
-	if j := byID["j000004"]; !j.Quarantined || j.Error != "poison cell" || j.Attempts != 2 {
-		t.Errorf("j4 = %+v, want quarantined(poison cell, 2 attempts)", j)
+	if j := byID["j000005"]; j.Attempts != 3 {
+		t.Errorf("j5 = %+v, want 3 starts (2 adopted + 1 here)", j)
 	}
-	if _, ok := byID["j000003"]; ok {
-		t.Error("finished job j3 resurrected")
-	}
-	if _, ok := byID["j000005"]; ok {
-		t.Error("requeued job j5 resurrected")
+	for _, id := range []string{"j000003", "j000004"} {
+		if _, ok := byID[id]; ok {
+			t.Errorf("settled job %s resurrected", id)
+		}
 	}
 }
 

@@ -68,8 +68,8 @@ func (j *Job) Cancel() { j.cancel() }
 // streams to clients.
 func (j *Job) Progress() *ProgressBuffer { return j.progress }
 
-// Request returns the submission that created the job (the coalescing and
-// requeue layers resubmit it verbatim).
+// Request returns the submission that created the job (the cluster layer
+// resubmits it verbatim when another node adopts the job).
 func (j *Job) Request() SubmitRequest { return j.req }
 
 // SetRecoveredFrom annotates the job as the adoption of a dead cluster
@@ -90,9 +90,10 @@ func (j *Job) setRunning() {
 	j.mu.Unlock()
 }
 
-func (j *Job) setAttempt(n int) {
+// countStart records one more start of the job.
+func (j *Job) countStart() {
 	j.mu.Lock()
-	j.status.Attempts = n
+	j.status.Attempts++
 	j.mu.Unlock()
 }
 
@@ -101,7 +102,7 @@ func (j *Job) setAttempt(n int) {
 // private bundle/profile, which is why it closes over j).
 func (j *Job) finish(state JobState, mutate func(*JobStatus)) {
 	// The last pre-transition instant: a crash here means the client never
-	// observes the terminal state and replay must re-run or re-park.
+	// observes the terminal state and replay must re-run or re-settle it.
 	protohook.Yield(j.hooks, "job.finish", string(state))
 	j.mu.Lock()
 	if j.status.State.Terminal() {
@@ -234,7 +235,7 @@ func (q *queue) add(req SubmitRequest, spec bench.Job, key, id string, createdUn
 	}
 	j.status = JobStatus{
 		ID: id, Key: key, State: StateQueued, Job: spec,
-		CreatedUnix: createdUnix,
+		Attempts: req.Attempts, CreatedUnix: createdUnix,
 	}
 	q.jobs[id] = j
 	q.order = append(q.order, id)
@@ -252,39 +253,18 @@ func (q *queue) setSeq(n int) {
 }
 
 // Restore re-registers a journal-replayed pending job under its original
-// ID. The caller Enqueues it; its status is marked replayed so operators
-// can tell resumed work from fresh submissions.
+// ID, with its start count. The caller Enqueues it; its status is marked
+// replayed so operators can tell resumed work from fresh submissions.
 func (q *queue) Restore(rj ReplayJob, spec bench.Job, key string) (*Job, error) {
-	j, err := q.add(rj.Req, spec, key, rj.ID, rj.CreatedUnix)
+	req := rj.Req
+	req.Attempts = rj.Attempts
+	j, err := q.add(req, spec, key, rj.ID, rj.CreatedUnix)
 	if err != nil {
 		return nil, err
 	}
 	j.mu.Lock()
 	j.status.Replayed = true
 	j.mu.Unlock()
-	return j, nil
-}
-
-// Park registers a journal-replayed quarantined job directly in its
-// terminal state: visible to Get/List and the quarantine API, never handed
-// to a worker. finish() is deliberately bypassed — the quarantine verdict
-// is already in the (just-compacted) journal, and re-notifying onFinish
-// would duplicate it.
-func (q *queue) Park(rj ReplayJob, spec bench.Job, key string) (*Job, error) {
-	j, err := q.add(rj.Req, spec, key, rj.ID, rj.CreatedUnix)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	j.status.State = StateQuarantined
-	j.status.Error = rj.Error
-	j.status.Attempts = rj.Attempts
-	j.status.Replayed = true
-	j.status.FinishedUnix = rj.CreatedUnix
-	j.mu.Unlock()
-	j.progress.Close()
-	j.cancel()
-	close(j.done)
 	return j, nil
 }
 
@@ -305,6 +285,14 @@ func (q *queue) Enqueue(j *Job) error {
 		q.remove(j)
 		return ErrBacklogFull
 	}
+}
+
+// Drop deletes an Added job that was never enqueued, so a submission the
+// scheduler could not accept leaves no trace.
+func (q *queue) Drop(j *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.remove(j)
 }
 
 // remove deletes a job record (caller holds q.mu).

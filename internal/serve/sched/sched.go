@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log"
 	"time"
@@ -37,21 +36,15 @@ type Config struct {
 	// Journal, when non-empty, is the path of the durable job journal:
 	// every accepted job is fsync'd there before the client sees a 201,
 	// and on boot the journal is replayed — queued or interrupted jobs
-	// resume, quarantined jobs stay parked. Empty disables durability
-	// (in-process tests, throwaway daemons).
+	// resume, and one that has started MaxStarts times is failed. Empty
+	// disables durability (in-process tests, throwaway daemons).
 	Journal string
 	// Faults, when non-nil, is the armed fault injector; the scheduler
 	// fires "engine.cell" / "crash.*" sites itself (the store carries its
 	// own sites, armed by the daemon).
 	Faults *faultline.Injector
-	// MaxAttempts bounds executions per job before quarantine (default 3).
-	MaxAttempts int
-	// RetryBase and RetryCap shape the exponential backoff between
-	// attempts (defaults 250ms and 5s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// DefaultDeadline bounds each attempt of jobs that do not carry their
-	// own deadline_ms (0 = unbounded).
+	// DefaultDeadline bounds the run of jobs that do not carry their own
+	// deadline_ms (0 = unbounded).
 	DefaultDeadline time.Duration
 
 	// Hooks, when non-nil, arms protocheck's yield points through the
@@ -61,9 +54,8 @@ type Config struct {
 	// Compute, when non-nil, replaces the bench engine as the job
 	// executor — protocheck and deterministic tests supply a stub so
 	// protocol exploration never pays for real simulation. Its result is
-	// persisted and served exactly like an engine result; errors are
-	// classified by the same transient rules (injected faults and panics
-	// retry, other errors fail the job). Production daemons leave it nil.
+	// persisted and served exactly like an engine result, and any error or
+	// panic fails the job. Production daemons leave it nil.
 	Compute func(ctx context.Context, spec bench.Job) (*ResultBundle, error)
 	// Manual disables the worker pool: jobs execute only when the owner
 	// calls RunNext, on the caller's goroutine. This is the deterministic
@@ -78,29 +70,26 @@ type Config struct {
 }
 
 // Scheduler owns the job lifecycle: the bounded queue and its workers, the
-// durable journal, retries, deadlines, and quarantine. It is deliberately
-// transport-agnostic — the HTTP front door (internal/serve) and any future
-// cluster placement policy drive it through the same methods.
+// durable journal, deadlines, and the start bound. It is deliberately
+// transport-agnostic — the HTTP front door (internal/serve) and the cluster
+// layer drive it through the same methods.
 type Scheduler struct {
-	store       ResultStore
-	queue       *queue
-	journal     *Journal
-	faults      *faultline.Injector
-	hooks       protohook.Hooks
-	compute     func(ctx context.Context, spec bench.Job) (*ResultBundle, error)
-	parallel    int
-	maxAttempts int
-	retryBase   time.Duration
-	retryCap    time.Duration
-	deadline    time.Duration
-	log         *log.Logger
-	metrics     *telemetry.Registry
+	store    ResultStore
+	queue    *queue
+	journal  *Journal
+	faults   *faultline.Injector
+	hooks    protohook.Hooks
+	compute  func(ctx context.Context, spec bench.Job) (*ResultBundle, error)
+	parallel int
+	deadline time.Duration
+	log      *log.Logger
+	metrics  *telemetry.Registry
 }
 
 // New builds a scheduler. When cfg.Journal is set, New replays it before
 // returning: jobs that were pending when the previous process died are
-// re-enqueued under their original IDs, quarantined jobs are restored
-// parked.
+// re-enqueued under their original IDs, except those that have started
+// MaxStarts times, which are failed.
 func New(cfg Config) (*Scheduler, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("sched: Config.Store is required")
@@ -115,15 +104,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 250 * time.Millisecond
-	}
-	if cfg.RetryCap <= 0 {
-		cfg.RetryCap = 5 * time.Second
 	}
 
 	var jn *Journal
@@ -146,25 +126,19 @@ func New(cfg Config) (*Scheduler, error) {
 	}()
 
 	s := &Scheduler{
-		store:       cfg.Store,
-		journal:     jn,
-		faults:      cfg.Faults,
-		hooks:       cfg.Hooks,
-		compute:     cfg.Compute,
-		parallel:    cfg.Parallel,
-		maxAttempts: cfg.MaxAttempts,
-		retryBase:   cfg.RetryBase,
-		retryCap:    cfg.RetryCap,
-		deadline:    cfg.DefaultDeadline,
-		log:         cfg.Log,
-		metrics:     cfg.Metrics,
+		store:    cfg.Store,
+		journal:  jn,
+		faults:   cfg.Faults,
+		hooks:    cfg.Hooks,
+		compute:  cfg.Compute,
+		parallel: cfg.Parallel,
+		deadline: cfg.DefaultDeadline,
+		log:      cfg.Log,
+		metrics:  cfg.Metrics,
 	}
 	// Register the robustness counters at zero so /metrics shows the full
 	// vocabulary from boot, not only after the first fault.
-	for _, name := range []string{
-		"jobs.retried", "jobs.quarantined", "jobs.requeued",
-		"journal.replayed", "store.put_retries",
-	} {
+	for _, name := range []string{"journal.replayed", "store.put_retries"} {
 		s.metrics.Counter(name)
 	}
 
@@ -199,22 +173,36 @@ func (s *Scheduler) restore(rj ReplayJob) error {
 		})
 		return err
 	}
-	spec, key := bj.Canonical(), rj.Req.StoreKey()
-	if rj.Quarantined {
-		_, err := s.queue.Park(rj, spec, key)
-		return err
-	}
-	j, err := s.queue.Restore(rj, spec, key)
+	j, err := s.queue.Restore(rj, bj.Canonical(), rj.Req.StoreKey())
 	if err != nil {
 		return err
 	}
 	s.metrics.Counter("journal.replayed").Inc()
-	if rj.Interrupted {
-		j.progress.Append(fmt.Sprintf("resumed after restart (interrupted on attempt %d)", rj.Attempts))
+	if s.exhausted(j) {
+		return nil
+	}
+	if rj.Attempts > 0 {
+		j.progress.Append(fmt.Sprintf("resumed after restart (started %d times before)", rj.Attempts))
 	} else {
 		j.progress.Append("resumed after restart (was queued)")
 	}
 	return s.queue.Enqueue(j)
+}
+
+// exhausted settles j as failed, without starting it, once it has started
+// MaxStarts times without settling — each start most likely took its
+// process down — and reports whether it did. finish's journal hook appends
+// the finished record, so the verdict survives the next restart.
+func (s *Scheduler) exhausted(j *Job) bool {
+	st := j.Status()
+	if st.Attempts < MaxStarts {
+		return false
+	}
+	err := fmt.Errorf("started %d times without settling; not started again", st.Attempts)
+	s.metrics.Counter("jobs.failed").Inc()
+	s.log.Printf("job %s failed: %v", st.ID, err)
+	j.finish(StateFailed, func(st *JobStatus) { st.Error = err.Error() })
+	return true
 }
 
 // Shutdown drains the queue (see queue.Shutdown), then closes the journal.
@@ -259,7 +247,7 @@ func (s *Scheduler) pendingWhere(max int, want func(JobState) bool) []PendingJob
 			break
 		}
 		if st := j.Status(); want(st.State) {
-			out = append(out, PendingJob{ID: st.ID, Req: j.Request()})
+			out = append(out, PendingJob{ID: st.ID, Req: j.Request(), Attempts: st.Attempts})
 		}
 	}
 	return out
@@ -267,27 +255,24 @@ func (s *Scheduler) pendingWhere(max int, want func(JobState) bool) []PendingJob
 
 // jobFinished is the queue's onFinish hook: it makes every terminal
 // transition durable. A "finished" record marks the job settled, so a
-// restart will not re-run it; a quarantine verdict carries the fault
-// context so the parked job survives restarts intact.
+// restart will not re-run it.
 func (s *Scheduler) jobFinished(j *Job) {
 	st := j.Status()
-	rec := journalRecord{
-		T: "finished", ID: st.ID, State: st.State,
-		Attempts: st.Attempts, Unix: time.Now().Unix(),
-	}
-	if st.State == StateFailed || st.State == StateQuarantined {
-		rec.Error = st.Error
-	}
+	rec := journalRecord{T: "finished", ID: st.ID, State: st.State, Error: st.Error, Unix: time.Now().Unix()}
 	if err := s.journal.Append(rec); err != nil {
 		s.log.Printf("journal: %v", err)
 	}
 }
 
+// ErrNotDurable is returned by Submit when the job's submitted record could
+// not be journaled: the job is not accepted, and the API maps it to 503.
+var ErrNotDurable = errors.New("sched: job journal unavailable")
+
 // Submit validates and enqueues a job (the admitted form of POST
 // /api/v1/jobs, shared by the front door, in-process tests and cmd
 // tooling). A job whose result is already in the result tier completes
 // immediately, without waiting behind whatever the worker pool is
-// computing.
+// computing. A job adopted at MaxStarts (req.Attempts) is failed at once.
 func (s *Scheduler) Submit(req SubmitRequest) (*Job, error) {
 	j := req.Job()
 	if err := j.Validate(); err != nil {
@@ -298,15 +283,21 @@ func (s *Scheduler) Submit(req SubmitRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.Counter("jobs.submitted").Inc()
 	// Make the acceptance durable before anything the client can observe:
 	// once this record is on disk, a crash at any later point re-runs the
-	// job instead of losing it.
+	// job instead of losing it. A job that is not on disk is not accepted.
 	st := rec.Status()
 	if err := s.journal.Append(journalRecord{
 		T: "submitted", ID: st.ID, Key: st.Key, Req: &rec.req, Unix: st.CreatedUnix,
+		Attempts: st.Attempts,
 	}); err != nil {
+		s.queue.Drop(rec)
 		s.log.Printf("journal: %v", err)
+		return nil, fmt.Errorf("%w: %v", ErrNotDurable, err)
+	}
+	s.metrics.Counter("jobs.submitted").Inc()
+	if s.exhausted(rec) {
+		return rec, nil
 	}
 	if !req.Force && s.serveFromStore(rec, st.Key) {
 		return rec, nil
@@ -371,160 +362,41 @@ func (s *Scheduler) Cancel(id string) bool {
 	return true
 }
 
-// Quarantine returns the parked jobs awaiting operator action, in
-// submission order (released jobs drop off: their RequeuedAs points at the
-// replacement).
-func (s *Scheduler) Quarantine() []JobStatus {
-	jobs := s.quarantined()
-	statuses := make([]JobStatus, len(jobs))
-	for i, j := range jobs {
-		statuses[i] = j.Status()
-	}
-	return statuses
-}
-
-// quarantined returns the parked jobs awaiting operator action (released
-// ones drop off the list: their RequeuedAs points at the fresh job).
-func (s *Scheduler) quarantined() []*Job {
-	var out []*Job
-	for _, j := range s.queue.List() {
-		st := j.Status()
-		if st.State == StateQuarantined && st.RequeuedAs == "" {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Requeue sentinels: the HTTP layer maps them onto status codes, and
-// protocheck's oracle distinguishes "exactly-once settled" violations from
-// legitimate rejections by them.
-var (
-	ErrNoSuchJob       = errors.New("no such job")
-	ErrNotQuarantined  = errors.New("not quarantined")
-	ErrAlreadyRequeued = errors.New("already requeued")
-)
-
-// Requeue releases a quarantined job by resubmitting its request as a
-// fresh job — the parked record stays as the audit trail, annotated with
-// the replacement's ID. A "requeued" journal record settles the old job so
-// a restart does not restore it alongside its replacement.
-func (s *Scheduler) Requeue(id string) (old, fresh JobStatus, err error) {
-	j, ok := s.queue.Get(id)
-	if !ok {
-		return JobStatus{}, JobStatus{}, fmt.Errorf("%w %q", ErrNoSuchJob, id)
-	}
-	st := j.Status()
-	if st.State != StateQuarantined {
-		return st, JobStatus{}, fmt.Errorf("job %s is %s, %w", st.ID, st.State, ErrNotQuarantined)
-	}
-	if st.RequeuedAs != "" {
-		return st, JobStatus{}, fmt.Errorf("job %s %w as %s", st.ID, ErrAlreadyRequeued, st.RequeuedAs)
-	}
-	nj, err := s.Submit(j.req)
-	if err != nil {
-		return st, JobStatus{}, err
-	}
-	newID := nj.Status().ID
-	j.mu.Lock()
-	j.status.RequeuedAs = newID
-	j.mu.Unlock()
-	if jerr := s.journal.Append(journalRecord{
-		T: "requeued", ID: st.ID, New: newID, Unix: time.Now().Unix(),
-	}); jerr != nil {
-		s.log.Printf("journal: %v", jerr)
-	}
-	s.metrics.Counter("jobs.requeued").Inc()
-	return j.Status(), nj.Status(), nil
-}
-
 // Abort closes the journal without draining the queue — the in-process
 // equivalent of the machine losing power. Only protocheck's crash
 // simulation calls it; everything else shuts down via Shutdown.
 func (s *Scheduler) Abort() error { return s.journal.Close() }
 
 // runJob executes one job on a worker: replay from the result tier when
-// possible, otherwise compute on a private cancellable engine and persist
-// the result. Each attempt runs under the job's deadline; attempts that
-// time out, panic, or hit injected faults are retried with exponential
-// backoff, and a job that exhausts its attempts is quarantined with its
-// fault context rather than silently failed.
+// possible, otherwise compute once on a private cancellable engine and
+// persist the result. The run is bounded by the job's deadline. Any error
+// of that one run — a timeout, a panic, an injected fault — settles the
+// job failed with the error as its fault context; only a client cancel
+// settles it canceled. The simulator is deterministic, so a second run
+// would fail the same way: a client that wants one resubmits.
 func (s *Scheduler) runJob(j *Job) {
 	j.setRunning()
-	key := j.Status().Key
+	st := j.Status()
 
 	// Warm path: the submission-time check may have raced another job
 	// computing the same key, so recheck here where it's cheapest.
-	if !j.req.Force && s.serveFromStore(j, key) {
+	if !j.req.Force && s.serveFromStore(j, st.Key) {
 		return
 	}
 	s.metrics.Counter("store.misses").Inc()
 
-	for attempt := 1; ; attempt++ {
-		done, transient, err := s.runAttempt(j, attempt)
-		if done {
-			return
-		}
-		if j.ctx.Err() != nil {
-			// The client cancelled between attempts.
-			s.metrics.Counter("jobs.canceled").Inc()
-			j.finish(StateCanceled, nil)
-			return
-		}
-		if !transient {
-			s.metrics.Counter("jobs.failed").Inc()
-			s.log.Printf("job %s failed: %v", j.Status().ID, err)
-			j.finish(StateFailed, func(st *JobStatus) { st.Error = err.Error() })
-			return
-		}
-		if attempt >= s.maxAttempts {
-			s.metrics.Counter("jobs.quarantined").Inc()
-			s.log.Printf("job %s quarantined after %d attempts: %v", j.Status().ID, attempt, err)
-			j.progress.Append(fmt.Sprintf("quarantined after %d attempts: %v", attempt, err))
-			j.finish(StateQuarantined, func(st *JobStatus) { st.Error = err.Error() })
-			return
-		}
-		d := s.backoff(j.Status().ID, attempt)
-		s.metrics.Counter("jobs.retried").Inc()
-		j.progress.Append(fmt.Sprintf("attempt %d failed (%v); retrying in %s", attempt, err, d.Round(time.Millisecond)))
-		select {
-		case <-time.After(d):
-		case <-j.ctx.Done():
-		}
-	}
-}
-
-// attemptResult is what one execution of a job's work produced, whichever
-// executor (the bench engine or a Config.Compute stub) ran it. The
-// classification tail of runAttempt consumes it uniformly.
-type attemptResult struct {
-	bundle     *ResultBundle
-	profile    *telemetry.RunProfile
-	hits, runs int
-	elapsed    int64
-	err        error
-	panicked   bool
-	aborted    bool // the executor stopped because its context died
-}
-
-// runAttempt executes one attempt of a job. done means the job reached a
-// terminal state (success or user cancellation) and the attempt loop must
-// stop; otherwise err describes the failure and transient says whether it
-// is worth retrying (timeouts, panics, injected faults) or final (a
-// malformed experiment fails the same way every time).
-func (s *Scheduler) runAttempt(j *Job, attempt int) (done, transient bool, err error) {
-	st := j.Status()
-	j.setAttempt(attempt)
-	// A durable "started" record: if the process dies mid-attempt, replay
-	// knows the job was interrupted (not merely queued) and re-runs it.
-	if jerr := s.journal.Append(journalRecord{T: "started", ID: st.ID, Unix: time.Now().Unix()}); jerr != nil {
-		s.log.Printf("journal: %v", jerr)
+	// A durable "started" record counts this start: if the process dies
+	// mid-run, replay knows the job was interrupted, and how often (see
+	// MaxStarts).
+	j.countStart()
+	if err := s.journal.Append(journalRecord{T: "started", ID: st.ID, Unix: time.Now().Unix()}); err != nil {
+		s.log.Printf("journal: %v", err)
 	}
 	s.faults.Crash("job.started")
 
-	// Per-attempt deadline: the engine aborts at its next hierarchy probe
-	// once the context dies, so a wedged or poisoned cell cannot hold a
-	// worker slot past the deadline.
+	// The deadline: the engine aborts at its next hierarchy probe once the
+	// context dies, so a wedged or poisoned cell cannot hold a worker slot
+	// past it.
 	ctx := j.ctx
 	cancel := context.CancelFunc(func() {})
 	if d := s.jobDeadline(j); d > 0 {
@@ -532,18 +404,19 @@ func (s *Scheduler) runAttempt(j *Job, attempt int) (done, transient bool, err e
 	}
 	defer cancel()
 
-	var res attemptResult
+	var res runResult
 	if s.compute != nil {
 		res = s.executeCompute(ctx, st.Job)
 	} else {
 		res = s.executeEngine(ctx, j, st.Job)
 	}
-
-	userCanceled := j.ctx.Err() != nil
-	timedOut := res.aborted && !userCanceled
+	if res.err == nil && res.aborted && j.ctx.Err() == nil {
+		// A deadline-aborted engine returns partial tables with no error.
+		res.err = fmt.Errorf("exceeded deadline %s", s.jobDeadline(j))
+	}
 
 	switch {
-	case userCanceled:
+	case j.ctx.Err() != nil:
 		// A cancelled engine unwinds with partial tables and zeroed cells;
 		// everything it printed is discarded with the job.
 		s.metrics.Counter("jobs.canceled").Inc()
@@ -552,36 +425,42 @@ func (s *Scheduler) runAttempt(j *Job, attempt int) (done, transient bool, err e
 			st.Cells = CellStats{Hits: res.hits, Runs: res.runs}
 			j.profile = res.profile
 		})
-		return true, false, nil
-	case timedOut && res.err == nil:
-		// A deadline-aborted engine returns partial tables with no error;
-		// synthesize the failure the attempt loop classifies on.
-		return false, true, fmt.Errorf("attempt %d exceeded deadline %s", attempt, s.jobDeadline(j))
 	case res.err != nil:
-		transient := timedOut || res.panicked || faultline.IsFault(res.err)
-		return false, transient, res.err
+		s.metrics.Counter("jobs.failed").Inc()
+		s.log.Printf("job %s failed: %v", st.ID, res.err)
+		j.finish(StateFailed, func(st *JobStatus) { st.Error = res.err.Error() })
+	default:
+		s.faults.Crash("job.before-persist")
+		protohook.Yield(s.hooks, "server.persist", st.ID)
+		s.persist(st.Key, st.Job, res.bundle, res.elapsed)
+		s.faults.Crash("job.before-finish")
+		s.metrics.Counter("jobs.completed").Inc()
+		s.metrics.Counter("cells.run").Add(uint64(res.runs))
+		s.metrics.Counter("cells.cached").Add(uint64(res.hits))
+		s.metrics.Histogram("job.elapsed_ms").Observe(uint64(res.elapsed))
+		j.finish(StateDone, func(st *JobStatus) {
+			st.ElapsedMS = res.elapsed
+			st.Cells = CellStats{Hits: res.hits, Runs: res.runs}
+			j.bundle = res.bundle
+			j.profile = res.profile
+		})
 	}
-
-	s.faults.Crash("job.before-persist")
-	protohook.Yield(s.hooks, "server.persist", st.ID)
-	s.persist(st.Key, st.Job, res.bundle, res.elapsed)
-	s.faults.Crash("job.before-finish")
-	s.metrics.Counter("jobs.completed").Inc()
-	s.metrics.Counter("cells.run").Add(uint64(res.runs))
-	s.metrics.Counter("cells.cached").Add(uint64(res.hits))
-	s.metrics.Histogram("job.elapsed_ms").Observe(uint64(res.elapsed))
-	j.finish(StateDone, func(st *JobStatus) {
-		st.ElapsedMS = res.elapsed
-		st.Cells = CellStats{Hits: res.hits, Runs: res.runs}
-		j.bundle = res.bundle
-		j.profile = res.profile
-	})
-	return true, false, nil
 }
 
-// executeEngine runs one attempt on a private cancellable bench engine —
-// the production executor.
-func (s *Scheduler) executeEngine(ctx context.Context, j *Job, spec bench.Job) attemptResult {
+// runResult is what one run of a job's work produced, whichever executor
+// (the bench engine or a Config.Compute stub) ran it.
+type runResult struct {
+	bundle     *ResultBundle
+	profile    *telemetry.RunProfile
+	hits, runs int
+	elapsed    int64
+	err        error
+	aborted    bool // the executor stopped because its context died
+}
+
+// executeEngine runs a job on a private cancellable bench engine — the
+// production executor.
+func (s *Scheduler) executeEngine(ctx context.Context, j *Job, spec bench.Job) runResult {
 	eng := bench.NewEngine(s.jobParallel(j))
 	eng.BindContext(ctx)
 	eng.Progress = j.progress
@@ -596,13 +475,12 @@ func (s *Scheduler) executeEngine(ctx context.Context, j *Job, spec bench.Job) a
 		return nopCloser{buf}, nil
 	}
 	start := time.Now()
-	err, panicked := runSafely(func() error { return bench.RunJob(eng, spec, &out, sink) })
-	res := attemptResult{
-		err:      err,
-		panicked: panicked,
-		elapsed:  time.Since(start).Milliseconds(),
-		profile:  telemetry.Dump(eng.Telemetry.Profiles()),
-		aborted:  eng.Canceled(),
+	err := runSafely(func() error { return bench.RunJob(eng, spec, &out, sink) })
+	res := runResult{
+		err:     err,
+		elapsed: time.Since(start).Milliseconds(),
+		profile: telemetry.Dump(eng.Telemetry.Profiles()),
+		aborted: eng.Canceled(),
 	}
 	res.hits, res.runs = eng.CacheStats()
 	if err == nil {
@@ -617,14 +495,14 @@ func (s *Scheduler) executeEngine(ctx context.Context, j *Job, spec bench.Job) a
 	return res
 }
 
-// executeCompute runs one attempt through the Config.Compute override,
-// with the same panic containment and cancellation classification as the
-// engine path. Simulated protocheck crashes are rethrown, never converted
-// into job failures — a dead process reports nothing.
-func (s *Scheduler) executeCompute(ctx context.Context, spec bench.Job) attemptResult {
+// executeCompute runs a job through the Config.Compute override, with the
+// same panic containment and cancellation handling as the engine path.
+// Simulated protocheck crashes are rethrown, never converted into job
+// failures — a dead process reports nothing.
+func (s *Scheduler) executeCompute(ctx context.Context, spec bench.Job) runResult {
 	start := time.Now()
-	var res attemptResult
-	res.err, res.panicked = runSafely(func() (err error) {
+	var res runResult
+	res.err = runSafely(func() (err error) {
 		res.bundle, err = s.compute(ctx, spec)
 		return err
 	})
@@ -652,23 +530,6 @@ func (s *Scheduler) jobDeadline(j *Job) time.Duration {
 	return s.deadline
 }
 
-// backoff computes the pause before the next attempt: exponential in the
-// attempt number, capped, with deterministic equal jitter (hashed from the
-// job ID and attempt, so tests replay identical schedules).
-func (s *Scheduler) backoff(id string, attempt int) time.Duration {
-	d := s.retryBase << uint(attempt-1)
-	if d > s.retryCap || d <= 0 {
-		d = s.retryCap
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s/%d", id, attempt)
-	return half + time.Duration(h.Sum64()%uint64(half))
-}
-
 func (s *Scheduler) jobParallel(j *Job) int {
 	if j.req.Parallel > 0 {
 		return j.req.Parallel
@@ -676,12 +537,11 @@ func (s *Scheduler) jobParallel(j *Job) int {
 	return s.parallel
 }
 
-// runSafely runs one attempt's work, converting a panic out of it (bad
-// workload wiring, simulator invariant failures, injected poison cells)
-// into a job error instead of killing the worker. Panic errors are
-// wrapped, not flattened, so faultline.IsFault still recognises injected
-// faults through the recovery.
-func runSafely(work func() error) (err error, panicked bool) {
+// runSafely runs a job's work, converting a panic out of it (bad workload
+// wiring, simulator invariant failures, injected poison cells) into a job
+// error instead of killing the worker. Panic errors are wrapped, not
+// flattened, so the fault context survives the recovery.
+func runSafely(work func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if protohook.IsCrash(r) {
@@ -689,7 +549,6 @@ func runSafely(work func() error) (err error, panicked bool) {
 				// experiment failing; let it unwind to the explorer.
 				panic(r)
 			}
-			panicked = true
 			if e, ok := r.(error); ok {
 				err = fmt.Errorf("experiment panicked: %w", e)
 			} else {
@@ -697,7 +556,7 @@ func runSafely(work func() error) (err error, panicked bool) {
 			}
 		}
 	}()
-	return work(), false
+	return work()
 }
 
 // serveFromStore settles j from the result store when key is stored, and

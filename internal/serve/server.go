@@ -50,20 +50,14 @@ type Config struct {
 	// Journal, when non-empty, is the path of the durable job journal:
 	// every accepted job is fsync'd there before the client sees a 201,
 	// and on boot the journal is replayed — queued or interrupted jobs
-	// resume, quarantined jobs stay parked. Empty disables durability
-	// (in-process tests, throwaway daemons).
+	// resume, and one that has started sched.MaxStarts times is failed.
+	// Empty disables durability (in-process tests, throwaway daemons).
 	Journal string
 	// Faults, when non-nil, is the armed fault injector; the server wires
 	// it into its store and scheduler ("engine.cell" / "crash.*" sites).
 	Faults *faultline.Injector
-	// MaxAttempts bounds executions per job before quarantine (default 3).
-	MaxAttempts int
-	// RetryBase and RetryCap shape the exponential backoff between
-	// attempts (defaults 250ms and 5s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// DefaultDeadline bounds each attempt of jobs that do not carry their
-	// own deadline_ms (0 = unbounded).
+	// DefaultDeadline bounds the run of jobs that do not carry their own
+	// deadline_ms (0 = unbounded).
 	DefaultDeadline time.Duration
 
 	// DefaultEPCBytes, when non-zero, is the EPC capacity applied to
@@ -94,9 +88,8 @@ type Config struct {
 	// Compute, when non-nil, replaces the bench engine as the job
 	// executor — protocheck and deterministic tests supply a stub so
 	// protocol exploration never pays for real simulation. Its result is
-	// persisted and served exactly like an engine result; errors are
-	// classified by the same transient rules (injected faults and panics
-	// retry, other errors fail the job). Production daemons leave it nil.
+	// persisted and served exactly like an engine result, and any error or
+	// panic fails the job. Production daemons leave it nil.
 	Compute func(ctx context.Context, spec bench.Job) (*ResultBundle, error)
 	// Manual disables the worker pool: jobs execute only when the owner
 	// calls RunNext, on the caller's goroutine. This is the deterministic
@@ -143,8 +136,7 @@ type Server struct {
 // New builds a server; call Handler for its API and Shutdown to drain.
 // When cfg.Journal is set, the scheduler replays it before accepting
 // traffic: jobs that were pending when the previous process died are
-// re-enqueued under their original IDs, quarantined jobs are restored
-// parked.
+// re-enqueued under their original IDs (see sched.New).
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("serve: Config.Store is required")
@@ -188,9 +180,6 @@ func New(cfg Config) (*Server, error) {
 		Metrics:         metrics,
 		Journal:         cfg.Journal,
 		Faults:          cfg.Faults,
-		MaxAttempts:     cfg.MaxAttempts,
-		RetryBase:       cfg.RetryBase,
-		RetryCap:        cfg.RetryCap,
 		DefaultDeadline: cfg.DefaultDeadline,
 		Hooks:           cfg.Hooks,
 		Compute:         cfg.Compute,
@@ -320,15 +309,6 @@ func (s *Server) Result(id string) (*ResultBundle, bool) { return s.sched.Result
 // DELETE /api/v1/jobs/{id}, cancelling a terminal job is a no-op.
 func (s *Server) Cancel(id string) bool { return s.sched.Cancel(id) }
 
-// Quarantine returns the parked jobs awaiting operator action, in
-// submission order (released jobs drop off: their RequeuedAs points at the
-// replacement).
-func (s *Server) Quarantine() []JobStatus { return s.sched.Quarantine() }
-
-// Requeue releases a quarantined job by resubmitting its request as a
-// fresh job; see sched.Scheduler.Requeue.
-func (s *Server) Requeue(id string) (old, fresh JobStatus, err error) { return s.sched.Requeue(id) }
-
 // Abort closes the journal without draining the queue — the in-process
 // equivalent of the machine losing power. Only protocheck's crash
 // simulation calls it; everything else shuts down via Shutdown.
@@ -344,7 +324,8 @@ func (s *Server) Abort() error {
 // clusterLocal adapts the server into the cluster layer's view of its own
 // node (cluster.Local): submissions land through the admission layer so
 // recovered and handed-off jobs coalesce with (and are quota-accounted
-// like) everything else.
+// like) everything else. An adopted job's start count rides in
+// req.Attempts, so the scheduler journals it and applies the bound.
 type clusterLocal struct{ s *Server }
 
 func (l clusterLocal) Admit(tenant string, req SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
@@ -370,19 +351,6 @@ func (l clusterLocal) Unsettled(max int) []sched.PendingJob { return l.s.sched.U
 func (l clusterLocal) Queued(max int) []sched.PendingJob    { return l.s.sched.Queued(max) }
 func (l clusterLocal) Cancel(id string) bool                { return l.s.sched.Cancel(id) }
 func (l clusterLocal) BeginDrain()                          { l.s.BeginDrain() }
-
-// Quarantined is the heartbeat's parked-job digest, node-stamped so the
-// fleet-wide aggregation can say where each poison job lives.
-func (l clusterLocal) Quarantined(max int) []sched.JobStatus {
-	all := l.s.sched.Quarantine()
-	if max > 0 && len(all) > max {
-		all = all[:max]
-	}
-	for i := range all {
-		l.s.stampNode(&all[i])
-	}
-	return all
-}
 
 // HasLocal is the router's "serve it here" probe: memory first (no IO),
 // then a meta-only disk stat. Version-pinned to the running simulator, so
@@ -420,8 +388,6 @@ func (s *Server) routes() {
 		io.WriteString(w, "ok\n")
 	})
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
-	s.mux.HandleFunc("GET /api/v1/quarantine", s.handleQuarantine)
-	s.mux.HandleFunc("POST /api/v1/quarantine/{id}/requeue", s.handleRequeue)
 	s.mux.HandleFunc("GET /api/v1/experiments", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ListExperiments())
 	})
@@ -477,6 +443,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// flight), then the job is admitted here — a reachable node never
 	// refuses work because the owner is down.
 	forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
+	if n, err := strconv.Atoi(r.Header.Get(cluster.AttemptsHeader)); forwarded && err == nil && n > 0 {
+		req.Attempts = n
+	}
 	if s.cluster != nil && !forwarded {
 		if node, local := s.door.Route(req); !local {
 			st, coalesced, err := s.cluster.ForwardRetry(node, tenant, req, "")
@@ -515,10 +484,11 @@ func writeSubmitted(w http.ResponseWriter, st JobStatus, coalesced bool) {
 }
 
 // writeAdmitError maps the front door's rejection sentinels onto status
-// codes.
+// codes. A job the journal could not record was not accepted: like a
+// draining node, that is the server's fault, not the request's.
 func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, frontdoor.ErrDraining):
+	case errors.Is(err, frontdoor.ErrDraining), errors.Is(err, sched.ErrNotDurable):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, frontdoor.ErrRateLimited),
 		errors.Is(err, frontdoor.ErrQuotaExceeded),
@@ -711,38 +681,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "# TYPE sgxd_cache_entries gauge\nsgxd_cache_entries %d\n", entries)
 		fmt.Fprintf(w, "# TYPE sgxd_cache_bytes gauge\nsgxd_cache_bytes %d\n", bytes)
 	}
-	fmt.Fprintf(w, "# TYPE sgxd_quarantined_jobs gauge\nsgxd_quarantined_jobs %d\n", len(s.Quarantine()))
 	fmt.Fprintf(w, "# TYPE sgxd_faults_injected_total counter\nsgxd_faults_injected_total %d\n", s.faults.Total())
-}
-
-func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Quarantine())
-}
-
-// handleRequeue is the HTTP face of Requeue, mapping its sentinels onto
-// status codes. Like every job route, it proxies an ID that names another
-// member, so a parked job is released from any node.
-func (s *Server) handleRequeue(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.proxied(w, r, id) {
-		return
-	}
-	old, fresh, err := s.Requeue(id)
-	switch {
-	case errors.Is(err, ErrNoSuchJob):
-		writeError(w, http.StatusNotFound, "no such job %q", id)
-	case errors.Is(err, ErrNotQuarantined), errors.Is(err, ErrAlreadyRequeued):
-		writeError(w, http.StatusConflict, "%v", err)
-	case errors.Is(err, ErrBacklogFull), errors.Is(err, ErrShuttingDown):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
-	default:
-		writeJSON(w, http.StatusOK, map[string]JobStatus{
-			"quarantined": old,
-			"requeued":    fresh,
-		})
-	}
 }
 
 // JoinCluster announces this node to a running fleet via the seed node's
