@@ -22,11 +22,15 @@
 //     alone.
 //   - Placement: job digests consistent-hash onto live nodes (bounded-load
 //     variant — a node whose queue exceeds its fair share spills to the
-//     next ring node, so hot shards spread). The ring is rebuilt
+//     next ring node, so hot shards spread). Submit is the one path every
+//     submission takes to the node that runs it: a client's POST, a dead
+//     node's adopted job and a leaving node's handoff. The ring is rebuilt
 //     atomically on every epoch change; an in-flight forward that loses
 //     the race re-routes once against the new epoch before falling back
 //     to local compute. An owner's 4xx (backpressure, quota) is final: the
-//     forwarding node relays it instead of admitting the job itself.
+//     forwarding node relays it instead of admitting the job itself. The
+//     forward is an ordinary POST /api/v1/jobs whose headers this package
+//     writes (forward) and reads back on the owner (ReadForward).
 //   - Peer-fetch read-through: a local result miss consults live peers
 //     before computing, owner first. Peer bytes are re-verified (key,
 //     SimVersion, size, sha256) on arrival; corrupt bytes count, log, and
@@ -39,9 +43,9 @@
 //     successor among the living) re-enqueues the dead node's piggybacked
 //     unsettled jobs, at most once per job per boot incarnation; a leaving
 //     node hands its still-queued jobs to their new owners. Both move
-//     pending work through one path, routeSubmit, and a moved job carries
-//     its start count, so a job that kills every node it starts on stops
-//     at sched.MaxStarts fleet-wide instead of taking each node down.
+//     pending work through Submit, and a moved job carries its start
+//     count, so a job that kills every node it starts on stops at
+//     sched.MaxStarts fleet-wide instead of taking each node down.
 //
 // Fault sites (internal/faultline): "cluster.peer.fetch" fails the peer
 // read-through, bitflip on "cluster.peer.body" corrupts received result
@@ -79,9 +83,9 @@ const maxPiggyback = 256
 // scheduler; tests implement it directly.
 type Local interface {
 	// Admit submits through the node's own admission layer (validation,
-	// quotas, coalescing). recoveredFrom, when non-empty, annotates the
-	// job as the adoption of a dead peer's journaled work.
-	Admit(tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, error)
+	// quotas, coalescing); coalesced reports that the job is shared with
+	// an identical in-flight submission.
+	Admit(tenant string, req sched.SubmitRequest) (st sched.JobStatus, coalesced bool, err error)
 	// Depth reports the scheduler backlog occupancy.
 	Depth() (queued, capacity int)
 	// Unsettled lists queued/running jobs — the journal-replayable set a
@@ -494,11 +498,11 @@ func (c *Cluster) Leave(ctx context.Context) error {
 	c.local.BeginDrain()
 
 	// Hand off the jobs no worker has picked up yet through the same path
-	// recovery uses. Our own admission is draining, so routeSubmit can only
+	// recovery uses. Our own admission is draining, so Submit can only
 	// succeed by landing the job on another node; the local copy is
 	// cancelled only then (a failed handoff stays local and drains).
 	for _, pj := range c.local.Queued(maxPiggyback) {
-		st, err := c.routeSubmit("cluster-handoff", adoptable(pj), "")
+		st, _, err := c.Submit("cluster-handoff", adoptable(pj, ""))
 		if err != nil || st.Node == "" || st.Node == c.self.ID {
 			c.log.Printf("cluster: handoff of %s failed (%v); draining it locally", pj.ID, err)
 			continue
@@ -628,7 +632,7 @@ func (c *Cluster) recover(deadID string, jobs []sched.PendingJob) {
 	}
 	c.mu.Unlock()
 	for _, pj := range jobs {
-		st, err := c.routeSubmit("cluster-recovery", adoptable(pj), deadID)
+		st, _, err := c.Submit("cluster-recovery", adoptable(pj, deadID))
 		if err != nil {
 			c.log.Printf("cluster: re-enqueue of %s (from dead %s) failed: %v", pj.ID, deadID, err)
 			continue
@@ -642,10 +646,12 @@ func (c *Cluster) recover(deadID string, jobs []sched.PendingJob) {
 }
 
 // adoptable is the submission that moves pj to another node: its request
-// with its start count, which the receiving scheduler journals and bounds.
-func adoptable(pj sched.PendingJob) sched.SubmitRequest {
+// with its start count, which the receiving scheduler journals and bounds,
+// and the dead node it is recovered from ("" for a handoff).
+func adoptable(pj sched.PendingJob, recoveredFrom string) sched.SubmitRequest {
 	req := pj.Req
 	req.Attempts = pj.Attempts
+	req.RecoveredFrom = recoveredFrom
 	return req
 }
 
@@ -656,11 +662,10 @@ func orSelf(node, self string) string {
 	return node
 }
 
-// Route decides placement for a content address: serve locally when this
+// route decides placement for a content address: serve locally when this
 // node owns the digest or already holds the result (and the client did
-// not Force a recompute); otherwise name the owning node. Satisfies the
-// frontdoor.Router seam.
-func (c *Cluster) Route(key string, force bool) (node string, local bool) {
+// not Force a recompute); otherwise name the owning node.
+func (c *Cluster) route(key string, force bool) (node string, local bool) {
 	owner := c.ownerOf(key)
 	if owner == c.self.ID || owner == "" {
 		return "", true
@@ -691,50 +696,39 @@ func (c *Cluster) ownerOf(key string) string {
 	return ring.owner(key, alive, loads)
 }
 
-// ForwardRetry forwards a submission to node with the single bounded
-// re-route the membership protocol allows: when the owner cannot take the
-// job (a transport error or a 5xx — the ring may have moved mid-flight, or
-// the owner may be draining or gone), the key is routed once more against
-// the current epoch and the new owner tried once. A nil error means the
-// job landed on the node its status names. A *Rejection is an owner's
-// final answer, for the caller to relay. Any other error tells the caller
-// to admit locally — no job is ever lost to topology churn, and at most
-// two forwards are ever attempted.
-func (c *Cluster) ForwardRetry(node, tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, bool, error) {
-	st, coalesced, err := c.forward(node, tenant, req, recoveredFrom)
+// Submit takes one submission to the node that runs it: this node when it
+// owns the digest or already holds the result, else the owner, by a
+// forward. When the owner cannot take the job (a transport error or a 5xx
+// — the ring may have moved mid-flight, or the owner may be draining or
+// gone), the key is routed once more against the current epoch and the
+// new owner tried once, so at most two forwards are attempted. An owner's
+// 4xx is its final answer and comes back as a *Rejection, for the caller
+// to relay (recovery retries the job next tick, and a leaving node drains
+// it itself). Any other failure falls back to Local.Admit: no job is ever
+// lost to topology churn.
+func (c *Cluster) Submit(tenant string, req sched.SubmitRequest) (sched.JobStatus, bool, error) {
+	key := req.StoreKey()
+	node, local := c.route(key, req.Force)
+	if local {
+		return c.local.Admit(tenant, req)
+	}
+	st, coalesced, err := c.forward(node, tenant, req)
 	if err != nil && !isRejection(err) {
-		if next, local := c.Route(req.StoreKey(), req.Force); !local && next != node {
-			st, coalesced, err = c.forward(next, tenant, req, recoveredFrom)
+		if next, local := c.route(key, req.Force); !local && next != node {
+			st, coalesced, err = c.forward(next, tenant, req)
 		}
 	}
 	if err == nil || isRejection(err) {
 		return st, coalesced, err
 	}
 	c.forwardFallback.Inc()
-	c.log.Printf("cluster: forward of %.12s… to %s failed (%v); admitting locally", req.StoreKey(), node, err)
-	return sched.JobStatus{}, false, err
+	c.log.Printf("cluster: forward of %.12s… to %s failed (%v); admitting locally", key, node, err)
+	return c.local.Admit(tenant, req)
 }
 
 func isRejection(err error) bool {
 	var rej *Rejection
 	return errors.As(err, &rej)
-}
-
-// routeSubmit is the one path that moves a pending job spec between
-// nodes, used by dead-node recovery and by a leaving node's queue handoff:
-// local when this node should serve the digest, forwarded (with the
-// bounded re-route) otherwise, falling back to local when no owner can be
-// reached — the work must not be lost to a second failure. An owner's
-// rejection comes back as the error: recovery retries the job next tick,
-// and a leaving node drains it itself.
-func (c *Cluster) routeSubmit(tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
-	if node, local := c.Route(req.StoreKey(), req.Force); !local {
-		st, _, err := c.ForwardRetry(node, tenant, req, recoveredFrom)
-		if err == nil || isRejection(err) {
-			return st, err
-		}
-	}
-	return c.local.Admit(tenant, req, recoveredFrom)
 }
 
 // FetchResult is the peer read-through the result tier consults below its

@@ -48,8 +48,9 @@ type nodeOpts struct {
 	workers  int
 	gated    bool // compute blocks until release() (or ctx cancel)
 	faults   *faultline.Injector
-	inFlight int  // per-tenant in-flight quota (0 = unlimited)
-	journal  bool // keep a durable job journal beside the store
+	inFlight int    // per-tenant in-flight quota (0 = unlimited)
+	journal  bool   // keep a durable job journal beside the store
+	epcBytes uint64 // default EPC capacity (serve.Config.DefaultEPCBytes)
 }
 
 // output is the deterministic result body the stub computes for a spec —
@@ -112,6 +113,7 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 		Faults:            o.faults,
 		TenantMaxInFlight: o.inFlight,
 		Journal:           journal,
+		DefaultEPCBytes:   o.epcBytes,
 		Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
 			computes.Add(1)
 			select {
@@ -248,7 +250,7 @@ func submitVia(t *testing.T, base string, req serve.SubmitRequest) serve.JobStat
 // arrives, and how tests pin a job onto one specific node.
 func submitPinned(t *testing.T, base string, req serve.SubmitRequest) serve.JobStatus {
 	t.Helper()
-	st, _ := postSubmit(t, base, req, http.Header{cluster.ForwardedHeader: {"test"}})
+	st, _ := postSubmit(t, base, req, http.Header{"X-Sgxd-Forwarded": {"test"}})
 	return st
 }
 
@@ -454,6 +456,46 @@ func firstOwnedBy(t *testing.T, front, owner *testNode) (serve.SubmitRequest, se
 	}
 	t.Fatalf("no spec out of 32 was placed on %s", owner.id)
 	return serve.SubmitRequest{}, serve.JobStatus{}
+}
+
+// TestRouteOnStoredKey pins that a node routes a submission by the key
+// its result is stored under: the server's default EPC capacity is
+// resolved before routing, not only at admission. An EPC-aware grid cell
+// whose unresolved and resolved keys have different owners, submitted
+// through the node that owns neither, must land on the owner of the
+// resolved key, under that key.
+func TestRouteOnStoredKey(t *testing.T) {
+	const epc = 2 << 20
+	nodes := startCluster(t, 3, func(int) nodeOpts { return nodeOpts{epcBytes: epc} })
+	ids := []string{nodes[0].id, nodes[1].id, nodes[2].id}
+	for threads := 1; threads <= 64; threads++ {
+		req := serve.SubmitRequest{Experiment: "grid", Threads: threads,
+			Workloads: []string{"kmeans"}, Policies: []string{"sgx"}, Size: "XS"}
+		resolved := req
+		resolved.EPCBytes = epc
+		key := resolved.StoreKey()
+		unresolvedOwner, owner := cluster.PrimaryOwner(ids, req.StoreKey()), cluster.PrimaryOwner(ids, key)
+		if unresolvedOwner == owner {
+			continue
+		}
+		var front *testNode
+		for _, n := range nodes {
+			if n.id != unresolvedOwner && n.id != owner {
+				front = n
+			}
+		}
+		st := submitVia(t, front.url, req)
+		if st.Key != key {
+			t.Fatalf("job %s stored under %s, want the resolved key %s", st.ID, st.Key, key)
+		}
+		if st.Node != owner {
+			t.Fatalf("job for %s landed on %s, want %s, the owner of the key it is stored under (%s owns the unresolved key)",
+				key, st.Node, owner, unresolvedOwner)
+		}
+		waitDone(t, front.url, st.ID)
+		return
+	}
+	t.Fatal("no grid cell out of 64 has different owners for its unresolved and resolved keys")
 }
 
 // TestOwnerBackpressureRelayed pins that an owner's 4xx is final: with

@@ -153,9 +153,9 @@ func pickView(local, remote View) (View, bool) {
 	return local, false
 }
 
-// normalizeAddr validates one node base URL the way ParsePeers does:
-// bare host:port gets http://, trailing slashes drop, and anything that
-// is not an http(s) URL with a host is rejected.
+// normalizeAddr validates one node base URL, a -peers entry or a joiner's
+// address: bare host:port gets http://, trailing slashes drop, and
+// anything that is not an http(s) URL with a host is rejected.
 func normalizeAddr(addr string) (string, error) {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
@@ -217,14 +217,11 @@ func ParsePeers(spec string) ([]Node, error) {
 			return nil, fmt.Errorf("cluster: duplicate node ID %q", n.ID)
 		}
 		seen[n.ID] = true
-		if !strings.Contains(n.Addr, "://") {
-			n.Addr = "http://" + n.Addr
-		}
-		u, err := url.Parse(n.Addr)
-		if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
+		addr, err := normalizeAddr(n.Addr)
+		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s has bad addr %q", n.ID, n.Addr)
 		}
-		n.Addr = strings.TrimRight(n.Addr, "/")
+		n.Addr = addr
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	return nodes, nil

@@ -12,8 +12,8 @@ import (
 // nopLocal satisfies Local for tests that never exercise the local node.
 type nopLocal struct{}
 
-func (nopLocal) Admit(string, sched.SubmitRequest, string) (sched.JobStatus, error) {
-	return sched.JobStatus{}, nil
+func (nopLocal) Admit(string, sched.SubmitRequest) (sched.JobStatus, bool, error) {
+	return sched.JobStatus{}, false, nil
 }
 func (nopLocal) Depth() (int, int)                { return 0, 64 }
 func (nopLocal) Unsettled(int) []sched.PendingJob { return nil }

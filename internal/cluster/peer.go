@@ -24,18 +24,15 @@ const (
 	// TenantHeader names the submitting tenant for quota and rate-limit
 	// accounting; a forwarded submission carries it to the owner.
 	TenantHeader = "X-Sgxd-Tenant"
-	// ForwardedHeader marks a submission that a peer forwarded to the
+	// forwardedHeader marks a submission that a peer forwarded to the
 	// digest's owner; its value names the sender. The owner admits it
 	// without routing it again: one hop is the protocol.
-	ForwardedHeader = "X-Sgxd-Forwarded"
-	// RecoveredHeader carries the dead node's ID on a forwarded submission
-	// that re-enqueues its journaled work, so the receiving node can
-	// annotate the adopted job (JobStatus.RecoveredFrom).
-	RecoveredHeader = "X-Sgxd-Recovered-From"
-	// AttemptsHeader carries an adopted job's start count on a forwarded
-	// submission (sched.SubmitRequest.Attempts), so the owner journals it
-	// and applies sched.MaxStarts.
-	AttemptsHeader = "X-Sgxd-Attempts"
+	forwardedHeader = "X-Sgxd-Forwarded"
+	// recoveredHeader and attemptsHeader carry an adopted job's
+	// sched.SubmitRequest.RecoveredFrom and Attempts on a forward, so the
+	// owner marks the adoption and journals and bounds the start count.
+	recoveredHeader = "X-Sgxd-Recovered-From"
+	attemptsHeader  = "X-Sgxd-Attempts"
 	// CoalescedHeader is set to "true" on a submit response that attached
 	// to an identical in-flight computation instead of starting its own.
 	// The owner sets it on a forwarded submit, and the forwarding node
@@ -55,8 +52,9 @@ const (
 
 // Beat is one heartbeat: liveness plus the piggybacked state the cluster
 // needs anyway — queue depth for bounded-load placement, and the sender's
-// unsettled (queued/running, i.e. journal-replayable) jobs so survivors
-// can re-enqueue them if the sender dies.
+// unsettled (queued/running, i.e. journal-replayable) jobs with their
+// start counts, so that if the sender dies its recoverer can adopt them
+// through Submit.
 // Nonce identifies the sender's boot incarnation: recovery runs at most
 // once per (node, nonce), and a restarted node arrives with a fresh nonce
 // and a clean slate.
@@ -347,11 +345,11 @@ func (c *Cluster) pushResult(peer Node, env ResultEnvelope) (stored bool, err er
 }
 
 // forward sends a submission to nodeID, the digest's owner, through its
-// ordinary submit endpoint marked with ForwardedHeader, and returns the
+// ordinary submit endpoint marked with forwardedHeader, and returns the
 // owner's job status and coalesced flag. A 4xx answer is final and comes
 // back as a *Rejection; a transport error or any other status means the
 // owner could not take the job.
-func (c *Cluster) forward(nodeID, tenant string, req sched.SubmitRequest, recoveredFrom string) (st sched.JobStatus, coalesced bool, err error) {
+func (c *Cluster) forward(nodeID, tenant string, req sched.SubmitRequest) (st sched.JobStatus, coalesced bool, err error) {
 	peer, ok := c.nodeByID(nodeID)
 	if !ok {
 		return st, false, fmt.Errorf("cluster: unknown node %q", nodeID)
@@ -365,15 +363,15 @@ func (c *Cluster) forward(nodeID, tenant string, req sched.SubmitRequest, recove
 		return st, false, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(ForwardedHeader, c.self.ID)
+	hreq.Header.Set(forwardedHeader, c.self.ID)
 	if tenant != "" {
 		hreq.Header.Set(TenantHeader, tenant)
 	}
-	if recoveredFrom != "" {
-		hreq.Header.Set(RecoveredHeader, recoveredFrom)
+	if req.RecoveredFrom != "" {
+		hreq.Header.Set(recoveredHeader, req.RecoveredFrom)
 	}
 	if req.Attempts > 0 {
-		hreq.Header.Set(AttemptsHeader, strconv.Itoa(req.Attempts))
+		hreq.Header.Set(attemptsHeader, strconv.Itoa(req.Attempts))
 	}
 	resp, err := c.client.Do(hreq)
 	if err != nil {
@@ -393,6 +391,23 @@ func (c *Cluster) forward(nodeID, tenant string, req sched.SubmitRequest, recove
 	}
 	c.forwarded.Inc()
 	return st, resp.Header.Get(CoalescedHeader) == "true", nil
+}
+
+// ReadForward is forward's receiving end. When h marks a forwarded
+// submission, it reads the adopted job's start count and origin back into
+// req and reports true; the caller then admits the job without routing it
+// again. Without the mark the other headers are ignored, and a start count
+// that is not a non-negative integer reads as 0.
+func ReadForward(h http.Header, req *sched.SubmitRequest) bool {
+	if h.Get(forwardedHeader) == "" {
+		return false
+	}
+	req.Attempts = 0
+	if n, err := strconv.Atoi(h.Get(attemptsHeader)); err == nil && n > 0 {
+		req.Attempts = n
+	}
+	req.RecoveredFrom = h.Get(recoveredHeader)
+	return true
 }
 
 // ProxyJob forwards an HTTP request for another node's job (status,

@@ -3,9 +3,11 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,7 +24,8 @@ import (
 // drives the real client calls against it.
 type wirePair struct {
 	cli, srv *Cluster
-	peer     Node // srv as cli sees it
+	peer     Node           // srv as cli sees it
+	mux      *http.ServeMux // srv's listener, for handlers Register does not mount
 	url      string
 }
 
@@ -47,7 +50,7 @@ func newWirePair(t *testing.T, faults *faultline.Injector) *wirePair {
 	cli.peers["n2"].alive = true
 	cli.peers["n2"].lastSeen = time.Now()
 	cli.mu.Unlock()
-	return &wirePair{cli: cli, srv: srv, peer: nodes[1], url: ts.URL}
+	return &wirePair{cli: cli, srv: srv, peer: nodes[1], mux: mux, url: ts.URL}
 }
 
 // testKey is a valid store key (lower-case hex) derived from s.
@@ -230,16 +233,71 @@ func TestFetchFaultIsMiss(t *testing.T) {
 	}
 }
 
-// TestForwardRetryUnreachableOwnerFallsBack forwards to an owner nothing
-// listens for: ForwardRetry tells the caller to admit locally, and counts
-// one fallback.
-func TestForwardRetryUnreachableOwnerFallsBack(t *testing.T) {
+// TestForwardRoundTrip drives both ends of a forwarded submission: the
+// start count and origin that forward writes come back unchanged through
+// ReadForward on the receiving node. Without the forwarded mark the other
+// two headers are ignored, and a start count that is not a non-negative
+// integer reads as 0.
+func TestForwardRoundTrip(t *testing.T) {
+	w := newWirePair(t, nil)
+	received := make(chan sched.SubmitRequest, 1)
+	w.mux.HandleFunc("POST /api/v1/jobs", func(rw http.ResponseWriter, r *http.Request) {
+		var req sched.SubmitRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || !ReadForward(r.Header, &req) {
+			writeError(rw, http.StatusBadRequest, "not a forwarded submission (%v)", err)
+			return
+		}
+		received <- req
+		writeJSON(rw, http.StatusCreated, sched.JobStatus{ID: "n2-j000001", Node: "n2"})
+	})
+	sent := sched.SubmitRequest{Experiment: "fig7", Threads: 3, EPCBytes: 2 << 20, Attempts: 2, RecoveredFrom: "n3"}
+	st, _, err := w.cli.forward("n2", "acme", sent)
+	if err != nil || st.ID != "n2-j000001" {
+		t.Fatalf("forward = (%+v, %v), want n2's job", st, err)
+	}
+	if got := <-received; !reflect.DeepEqual(got, sent) {
+		t.Fatalf("owner read back %+v, want %+v", got, sent)
+	}
+
+	for _, tc := range []struct {
+		name      string
+		hdr       http.Header
+		forwarded bool
+		want      sched.SubmitRequest
+	}{
+		{"unmarked", http.Header{attemptsHeader: {"2"}, recoveredHeader: {"n3"}}, false, sched.SubmitRequest{}},
+		{"non-numeric start count", http.Header{forwardedHeader: {"n1"}, attemptsHeader: {"two"}, recoveredHeader: {"n3"}},
+			true, sched.SubmitRequest{RecoveredFrom: "n3"}},
+		{"negative start count", http.Header{forwardedHeader: {"n1"}, attemptsHeader: {"-1"}}, true, sched.SubmitRequest{}},
+	} {
+		var req sched.SubmitRequest
+		if fwd := ReadForward(tc.hdr, &req); fwd != tc.forwarded || !reflect.DeepEqual(req, tc.want) {
+			t.Errorf("%s: ReadForward = (%v, %+v), want (%v, %+v)", tc.name, fwd, req, tc.forwarded, tc.want)
+		}
+	}
+}
+
+// admitLocal is a Local that records what its node admits.
+type admitLocal struct {
+	nopLocal
+	admitted []sched.SubmitRequest
+}
+
+func (l *admitLocal) Admit(_ string, req sched.SubmitRequest) (sched.JobStatus, bool, error) {
+	l.admitted = append(l.admitted, req)
+	return sched.JobStatus{ID: "n1-j000001", Node: "n1"}, false, nil
+}
+
+// TestSubmitUnreachableOwnerFallsBack submits a job whose owner nothing
+// listens for: Submit admits it locally and counts one fallback.
+func TestSubmitUnreachableOwnerFallsBack(t *testing.T) {
 	metrics := telemetry.NewRegistry()
+	local := &admitLocal{}
 	c, err := New(Config{
 		Self: "n1",
 		// n2's address points at a port nothing listens on.
 		Nodes:   []Node{{ID: "n1", Addr: "http://127.0.0.1:1"}, {ID: "n2", Addr: "http://127.0.0.2:9"}},
-		Local:   nopLocal{},
+		Local:   local,
 		Store:   tempStore(t),
 		Metrics: metrics,
 	})
@@ -255,16 +313,19 @@ func TestForwardRetryUnreachableOwnerFallsBack(t *testing.T) {
 	var req sched.SubmitRequest
 	for i := 1; i <= 64 && req.Experiment == ""; i++ {
 		probe := sched.SubmitRequest{Experiment: "fig7", Threads: i}
-		if node, local := c.Route(probe.StoreKey(), false); !local && node == "n2" {
+		if node, local := c.route(probe.StoreKey(), false); !local && node == "n2" {
 			req = probe
 		}
 	}
 	if req.Experiment == "" {
 		t.Fatal("no probe spec was placed on n2")
 	}
-	_, _, err = c.ForwardRetry("n2", "t", req, "")
-	if err == nil || isRejection(err) {
-		t.Fatalf("ForwardRetry to an unreachable owner: err = %v, want a fallback", err)
+	st, _, err := c.Submit("t", req)
+	if err != nil || st.Node != "n1" {
+		t.Fatalf("Submit with an unreachable owner = (%+v, %v), want a local admission", st, err)
+	}
+	if len(local.admitted) != 1 || !reflect.DeepEqual(local.admitted[0], req) {
+		t.Fatalf("local admissions = %+v, want exactly %+v", local.admitted, req)
 	}
 	if got := metrics.Counter("cluster.forward_fallback").Value(); got != 1 {
 		t.Fatalf("cluster.forward_fallback = %d, want 1", got)

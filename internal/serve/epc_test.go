@@ -31,8 +31,10 @@ func registerEPCExperiment() {
 
 // TestDefaultEPCBytesResolvedAtAdmission pins where the server's -epc-bytes
 // default is applied: before the scheduler sees the request, so the job's
-// identity, its store key, journal replay and cluster forwarding all carry
-// the resolved capacity rather than a node-local zero.
+// identity, its store key and journal replay all carry the resolved
+// capacity rather than a node-local zero. This test covers one node; the
+// cluster half, that a node routes by the resolved key, is
+// TestRouteOnStoredKey in internal/cluster.
 func TestDefaultEPCBytesResolvedAtAdmission(t *testing.T) {
 	registerEPCExperiment()
 	st, err := store.Open(t.TempDir())

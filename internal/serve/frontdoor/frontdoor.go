@@ -9,8 +9,10 @@
 // The layer is deliberately transport-free: it speaks SubmitRequest in
 // and (*sched.Job, typed rejection) out. The HTTP server maps the
 // rejections onto status codes (ErrDraining → 503, everything else →
-// 429 + Retry-After). In a cluster, admission runs on the digest's owner,
-// and a forwarding node relays the owner's 429 to its client unchanged.
+// 429 + Retry-After). The door does admission only: in a cluster,
+// internal/cluster decides which node a submission runs on, admission
+// runs on that node, and a forwarding node relays the owner's 429 to its
+// client unchanged.
 package frontdoor
 
 import (
@@ -48,23 +50,9 @@ type Backend interface {
 	Accepting() bool
 }
 
-// Router is the cluster placement seam: given a submission's content
-// address, decide whether this node serves it or name the owning peer.
-// *cluster.Cluster satisfies it; nil means single-node, always local.
-type Router interface {
-	Route(key string, force bool) (node string, local bool)
-}
-
 // Config parameterises a Door.
 type Config struct {
 	Backend Backend // required
-
-	// Router, when non-nil, makes Route meaningful: the HTTP layer asks
-	// the door for a placement decision before admitting, and forwards
-	// submissions the router assigns elsewhere. Admission itself (rate
-	// limits, quotas, coalescing) always runs on the node that finally
-	// admits the job.
-	Router Router
 
 	// TenantRPS and TenantBurst shape each tenant's token bucket:
 	// sustained submissions per second and the burst allowance. RPS <= 0
@@ -98,7 +86,6 @@ type tenant struct {
 // Door is the admission layer instance.
 type Door struct {
 	backend    Backend
-	router     Router
 	rps        float64
 	burst      float64
 	maxFlight  int
@@ -132,7 +119,6 @@ func New(cfg Config) *Door {
 	}
 	return &Door{
 		backend:    cfg.Backend,
-		router:     cfg.Router,
 		rps:        cfg.TenantRPS,
 		burst:      burst,
 		maxFlight:  cfg.TenantMaxInFlight,
@@ -152,21 +138,6 @@ func New(cfg Config) *Door {
 
 // RetryAfter is the pause advertised alongside 429-class rejections.
 func (d *Door) RetryAfter() time.Duration { return d.retryAfter }
-
-// Route is the route-or-serve decision for one submission, applied before
-// Admit: local when no Router is configured, when the request is invalid
-// (Admit then rejects it with the full validation story, instead of a
-// peer doing so a network hop later), or when the router keeps it here;
-// otherwise it names the owning node for the transport to forward to.
-func (d *Door) Route(req sched.SubmitRequest) (node string, local bool) {
-	if d.router == nil {
-		return "", true
-	}
-	if err := req.Job().Validate(); err != nil {
-		return "", true
-	}
-	return d.router.Route(req.StoreKey(), req.Force)
-}
 
 // BeginDrain flips the door closed: every subsequent Admit fails with
 // ErrDraining immediately, before the listener or the scheduler wind

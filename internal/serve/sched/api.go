@@ -63,8 +63,11 @@ type SubmitRequest struct {
 	// Attempts is the start count a job arrives with when a cluster node
 	// adopts it from a dead or leaving peer (PendingJob.Attempts). Submit
 	// journals it as the job's count so far, and applies MaxStarts to it.
-	// Never on the request body: a forward carries it in a header.
-	Attempts int `json:"-"`
+	// RecoveredFrom names the dead node whose job this adopts; the new job's
+	// status carries it (JobStatus.RecoveredFrom). Neither is on the
+	// request body: a forward carries both in headers.
+	Attempts      int    `json:"-"`
+	RecoveredFrom string `json:"-"`
 }
 
 // Job extracts the identity portion of the request.

@@ -72,17 +72,6 @@ func (j *Job) Progress() *ProgressBuffer { return j.progress }
 // resubmits it verbatim when another node adopts the job).
 func (j *Job) Request() SubmitRequest { return j.req }
 
-// SetRecoveredFrom annotates the job as the adoption of a dead cluster
-// node's journaled work; JobStatus surfaces it so operators (and the
-// chaos suite) can count each adoption exactly once. Deliberately valid
-// on a terminal job: an adoption that settled instantly off a warm store
-// hit is still an adoption.
-func (j *Job) SetRecoveredFrom(node string) {
-	j.mu.Lock()
-	j.status.RecoveredFrom = node
-	j.mu.Unlock()
-}
-
 func (j *Job) setRunning() {
 	j.mu.Lock()
 	j.status.State = StateRunning
@@ -235,7 +224,7 @@ func (q *queue) add(req SubmitRequest, spec bench.Job, key, id string, createdUn
 	}
 	j.status = JobStatus{
 		ID: id, Key: key, State: StateQueued, Job: spec,
-		Attempts: req.Attempts, CreatedUnix: createdUnix,
+		Attempts: req.Attempts, RecoveredFrom: req.RecoveredFrom, CreatedUnix: createdUnix,
 	}
 	q.jobs[id] = j
 	q.order = append(q.order, id)

@@ -62,8 +62,8 @@ type Config struct {
 
 	// DefaultEPCBytes, when non-zero, is the EPC capacity applied to
 	// submissions that do not carry their own epc_bytes (sgxd's
-	// -epc-bytes flag). Resolved before the scheduler journals the
-	// request, so store keys, journal replay, and cluster forwarding all
+	// -epc-bytes flag). Resolved before a submission is routed or
+	// journaled, so cluster placement, store keys and journal replay all
 	// see the resolved capacity rather than a node-relative default.
 	DefaultEPCBytes uint64
 
@@ -224,7 +224,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.cluster = cl
 		cache.SetPeerFetch(cl.FetchResult)
-		doorCfg.Router = cl
 	}
 	s.door = frontdoor.New(doorCfg)
 	s.mux = http.NewServeMux()
@@ -281,9 +280,9 @@ func (s *Server) Submit(req SubmitRequest) (*sched.Job, error) {
 }
 
 // applyDefaults resolves server-side submission defaults onto the request
-// before it reaches admission or the scheduler, so the journaled request —
-// and therefore replay, compaction, and cluster forwarding — carries the
-// resolved values.
+// before it is routed or reaches admission, so the key a cluster routes
+// by and the journaled request — and therefore replay and compaction —
+// carry the resolved values.
 func (s *Server) applyDefaults(req *SubmitRequest) {
 	if req.EPCBytes == 0 {
 		req.EPCBytes = s.defaultEPC
@@ -324,26 +323,18 @@ func (s *Server) Abort() error {
 // clusterLocal adapts the server into the cluster layer's view of its own
 // node (cluster.Local): submissions land through the admission layer so
 // recovered and handed-off jobs coalesce with (and are quota-accounted
-// like) everything else. An adopted job's start count rides in
-// req.Attempts, so the scheduler journals it and applies the bound.
+// like) everything else. An adopted job's start count and origin ride in
+// req.Attempts and req.RecoveredFrom, so the scheduler journals and bounds
+// the one, and a job it creates carries the other; a coalesced follower
+// creates no job, so it never marks its leader as an adoption.
 type clusterLocal struct{ s *Server }
 
-func (l clusterLocal) Admit(tenant string, req SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
+func (l clusterLocal) Admit(tenant string, req SubmitRequest) (JobStatus, bool, error) {
 	j, coalesced, err := l.s.Admit(tenant, req)
 	if err != nil {
-		return sched.JobStatus{}, err
+		return JobStatus{}, false, err
 	}
-	markRecovered(j, coalesced, recoveredFrom)
-	return l.s.statusOf(j), nil
-}
-
-// markRecovered annotates a job that adopts a dead peer's journaled work.
-// A coalesced follower attached to someone else's job; marking that job
-// as an adoption would miscount recoveries.
-func markRecovered(j *sched.Job, coalesced bool, recoveredFrom string) {
-	if recoveredFrom != "" && !coalesced {
-		j.SetRecoveredFrom(recoveredFrom)
-	}
+	return l.s.statusOf(j), coalesced, nil
 }
 
 func (l clusterLocal) Depth() (int, int)                    { return l.s.sched.Depth() }
@@ -423,71 +414,50 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleSubmit is the admitted path: tenant accounting, rate limits,
-// coalescing, and backpressure all happen in the front door; this handler
-// only translates its verdicts onto the wire. 429-class rejections carry
-// Retry-After so well-behaved clients pace themselves.
+// handleSubmit takes a submission to the node that runs it. The server's
+// defaults are resolved first, so a cluster routes by the key the result
+// is stored under. In cluster mode the cluster places the job; the front
+// door admits it here otherwise, and also when a peer forwarded it (one
+// hop is the protocol) or when it is invalid, so the node the client
+// contacted answers 400 without a forward. A coalesced follower's 201 is
+// flagged with CoalescedHeader.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxSubmitBody)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	tenant := r.Header.Get(TenantHeader)
-	// Route-or-serve: in cluster mode the digest's owner computes it
-	// (unless we already hold the result). A submission a peer forwarded
-	// here is admitted without routing: one hop is the protocol. The
-	// owner's 4xx is final and goes back to the client as it came. An owner
-	// that cannot take the job gets one re-route against the current
-	// membership epoch (the ring may have moved while the forward was in
-	// flight), then the job is admitted here — a reachable node never
-	// refuses work because the owner is down.
-	forwarded := r.Header.Get(cluster.ForwardedHeader) != ""
-	if n, err := strconv.Atoi(r.Header.Get(cluster.AttemptsHeader)); forwarded && err == nil && n > 0 {
-		req.Attempts = n
+	s.applyDefaults(&req)
+	forwarded := cluster.ReadForward(r.Header, &req)
+	submit := clusterLocal{s}.Admit
+	if s.cluster != nil && !forwarded && req.Job().Validate() == nil {
+		submit = s.cluster.Submit
 	}
-	if s.cluster != nil && !forwarded {
-		if node, local := s.door.Route(req); !local {
-			st, coalesced, err := s.cluster.ForwardRetry(node, tenant, req, "")
-			var rej *cluster.Rejection
-			switch {
-			case err == nil:
-				writeSubmitted(w, st, coalesced)
-				return
-			case errors.As(err, &rej):
-				if rej.RetryAfter != "" {
-					w.Header().Set("Retry-After", rej.RetryAfter)
-				}
-				writeError(w, rej.Code, "%s", rej.Message)
-				return
-			}
+	st, coalesced, err := submit(r.Header.Get(TenantHeader), req)
+	if err == nil {
+		if coalesced {
+			w.Header().Set(CoalescedHeader, "true")
 		}
-	}
-	j, coalesced, err := s.Admit(tenant, req)
-	if err != nil {
-		s.writeAdmitError(w, err)
+		writeJSON(w, http.StatusCreated, st)
 		return
 	}
-	if forwarded {
-		markRecovered(j, coalesced, r.Header.Get(cluster.RecoveredHeader))
-	}
-	writeSubmitted(w, s.statusOf(j), coalesced)
+	s.writeAdmitError(w, err)
 }
 
-// writeSubmitted answers an accepted submission with 201 and the job's
-// status, flagging a coalesced follower with CoalescedHeader.
-func writeSubmitted(w http.ResponseWriter, st JobStatus, coalesced bool) {
-	if coalesced {
-		w.Header().Set(CoalescedHeader, "true")
-	}
-	writeJSON(w, http.StatusCreated, st)
-}
-
-// writeAdmitError maps the front door's rejection sentinels onto status
-// codes. A job the journal could not record was not accepted: like a
-// draining node, that is the server's fault, not the request's.
+// writeAdmitError maps a refused submission onto the wire. An owner's
+// rejection goes back to the client as it came, with its Retry-After.
+// The front door's sentinels map onto status codes: a job the journal
+// could not record was not accepted, and like a draining node that is
+// the server's fault, not the request's. 429-class rejections carry
+// Retry-After so well-behaved clients pace themselves.
 func (s *Server) writeAdmitError(w http.ResponseWriter, err error) {
+	var rej *cluster.Rejection
 	switch {
+	case errors.As(err, &rej):
+		if rej.RetryAfter != "" {
+			w.Header().Set("Retry-After", rej.RetryAfter)
+		}
+		writeError(w, rej.Code, "%s", rej.Message)
 	case errors.Is(err, frontdoor.ErrDraining), errors.Is(err, sched.ErrNotDurable):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, frontdoor.ErrRateLimited),
