@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -413,6 +414,36 @@ func TestRouteOrServeSpreadsAndProxies(t *testing.T) {
 	}
 	if code := getJSON(t, front.url+"/api/v1/jobs/n9-j000001", nil); code != http.StatusNotFound {
 		t.Fatalf("job ID naming no member: HTTP %d, want 404", code)
+	}
+}
+
+// TestWarmIDReadsThroughAnyNode: a store hit's ID is "<node>-k<store key>",
+// naming the node whose store answered it. That node holds no job for it,
+// yet a node that neither fronted the submission nor holds the result
+// proxies a read of the ID there and serves the same bytes.
+func TestWarmIDReadsThroughAnyNode(t *testing.T) {
+	nodes := startCluster(t, 3, nil)
+	front := nodes[0]
+	req, cold := firstOwnedBy(t, front, nodes[1])
+	waitDone(t, front.url, cold.ID)
+
+	warm := submitVia(t, front.url, req)
+	holder, key, ok := strings.Cut(warm.ID, "-k")
+	if !ok || key != cold.Key || warm.Node != holder || !warm.FromStore || warm.State != serve.StateDone {
+		t.Fatalf("resubmission = %+v, want a store hit <node>-k%s", warm, cold.Key)
+	}
+	var reader *testNode
+	for _, n := range nodes {
+		if n != front && n.id != holder {
+			reader = n
+			break
+		}
+	}
+	if st := waitDone(t, reader.url, warm.ID); !reflect.DeepEqual(st, warm) {
+		t.Errorf("via %s: %+v, want the POST's %+v", reader.id, st, warm)
+	}
+	if got, want := fetchResult(t, reader.url, warm.ID), output(req.Job().Canonical()); got != want {
+		t.Errorf("via %s: %q, want %q", reader.id, got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 
 	"sgxbounds/internal/serve"
@@ -33,11 +34,19 @@ type observation struct {
 	key   string
 }
 
+// acked is what the client of a completed submit step holds: the ID it was
+// given, under which store key, and whether the submission was acked as a
+// store hit — a view of the store entry, not a job.
+type acked struct {
+	key  string
+	warm bool
+}
+
 // oracle asserts the sgxd durability invariants across one execution. The
 // first failure wins; everything after it is untrusted.
 type oracle struct {
 	program  string
-	acked    map[string]string // job ID -> store key, for completed submit steps
+	acked    map[string]acked // job ID -> what its submit step acked
 	observed map[string]observation
 	// mustSurvive is the restart contract read off the journal image at
 	// the instant of death (or graceful close): job ID -> whether replay
@@ -49,7 +58,7 @@ type oracle struct {
 func newOracle(program string) *oracle {
 	return &oracle{
 		program:  program,
-		acked:    map[string]string{},
+		acked:    map[string]acked{},
 		observed: map[string]observation{},
 	}
 }
@@ -61,14 +70,18 @@ func (o *oracle) fail(invariant, detail string) {
 }
 
 // ack records a submit step that completed: the client holds a job ID the
-// service acknowledged, durably.
-func (o *oracle) ack(id, key string) { o.acked[id] = key }
+// service acknowledged, durably — in the journal, or, for a store hit, in
+// the store entry its ID names.
+func (o *oracle) ack(st serve.JobStatus) {
+	o.acked[st.ID] = acked{key: st.Key, warm: st.FromStore}
+}
 
 // observe polls every job after a completed step and checks the
 // monotonicity invariants: a key never changes, an observed terminal state
 // never flips, and a done job's result is byte-identical to the canonical
 // output for its spec. A job whose run always fails or kills its process
-// settles only as failed.
+// settles only as failed. Every store hit acked so far must still resolve
+// (checkWarm).
 func (o *oracle) observe(w *world) {
 	if o.violation != nil {
 		return
@@ -104,6 +117,42 @@ func (o *oracle) observe(w *world) {
 		poisoned := st.Job.Experiment == expPoison || st.Job.Experiment == expCrashLoop
 		if poisoned && st.State.Terminal() && (st.State != serve.StateFailed || st.Error == "") {
 			o.fail("poison-fails", fmt.Sprintf("job %s (%s) settled %s (%q), want failed with its fault", st.ID, st.Job.Experiment, st.State, st.Error))
+			return
+		}
+	}
+	o.checkWarm(w)
+}
+
+// checkWarm is the warm-resolves invariant: a submission acked as a store
+// hit has no job and no journal record, only the store entry its ID names,
+// so after every completed step, every crash and every restart that ID
+// must still resolve to done with the canonical bytes. The reads are the
+// oracle's, not the modeled execution's, so they run with crash decisions
+// disarmed.
+func (o *oracle) checkWarm(w *world) {
+	if o.violation != nil {
+		return
+	}
+	var ids []string
+	for id, a := range o.acked {
+		if a.warm {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	armed := w.sched.armed
+	w.sched.armed = false
+	defer func() { w.sched.armed = armed }()
+	for _, id := range ids {
+		key := o.acked[id].key
+		st, ok := w.srv.Status(id)
+		if !ok || st.State != serve.StateDone || st.Key != key {
+			o.fail("warm-resolves", fmt.Sprintf("store hit %s: found=%t state=%q key=%q, want done under key %s", id, ok, st.State, st.Key, key))
+			return
+		}
+		bundle, ok := w.srv.Result(id)
+		if want := canonicalOutput(st.Job); !ok || bundle.Output != want {
+			o.fail("warm-resolves", fmt.Sprintf("store hit %s served %v, want %q", id, bundle, want))
 			return
 		}
 	}

@@ -94,7 +94,7 @@ func registerExperiments() {
 
 // Programs returns the standard scenarios the tests explore. Each is small
 // enough that its schedule space dwarfs any test budget, and together they
-// cover submission races, warm-path/compute races, failing and
+// cover submission races, warm-path/compute races, store hits, failing and
 // process-killing jobs, GC, and both restart flavors.
 func Programs() []Program {
 	registerExperiments()
@@ -136,6 +136,19 @@ func Programs() []Program {
 				{Name: "c2", Ops: []Op{{Kind: OpSubmit, Req: subB}}},
 				{Name: "w", Ops: []Op{{Kind: OpRunNext}, {Kind: OpRunNext}}},
 				{Name: "adm", Ops: []Op{{Kind: OpRestart}}},
+			},
+		},
+		{
+			// A resubmission after its result is stored is a store hit: no
+			// job, no journal record, only the entry its ID names. On the
+			// default schedule c2's first submission is that hit; crashes,
+			// a graceful restart and GC must never take its answer away.
+			Name: "warm-hits",
+			Actors: []Actor{
+				{Name: "c1", Ops: []Op{{Kind: OpSubmit, Req: subA}}},
+				{Name: "w", Ops: []Op{{Kind: OpRunNext}}},
+				{Name: "c2", Ops: []Op{{Kind: OpSubmit, Req: subA}, {Kind: OpSubmit, Req: subB}}},
+				{Name: "adm", Ops: []Op{{Kind: OpRestart}, {Kind: OpGC}}},
 			},
 		},
 		{

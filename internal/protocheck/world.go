@@ -151,8 +151,7 @@ func (w *world) exec(op Op, o *oracle) {
 			o.fail("submit-rejected", fmt.Sprintf("submit %s: %v", op.Req.Experiment, err))
 			return
 		}
-		st := j.Status()
-		o.ack(st.ID, st.Key)
+		o.ack(j.Status())
 	case OpRunNext:
 		w.srv.RunNext()
 	case OpGC:

@@ -61,7 +61,10 @@ type Config struct {
 	TenantBurst int
 	// TenantMaxInFlight bounds each tenant's concurrently active
 	// (non-terminal, non-coalesced) jobs. <= 0 disables the quota.
-	// Coalesced followers are free: they consume no compute.
+	// Coalesced followers are free: they consume no compute. So are store
+	// hits once admitted: their slot is released before Admit returns,
+	// though a tenant already at its quota is refused before the store is
+	// read.
 	TenantMaxInFlight int
 	// RetryAfter is the pause the door advertises with 429-class
 	// rejections (default 1s).
@@ -202,9 +205,7 @@ func (d *Door) Admit(tenantID string, req sched.SubmitRequest) (j *sched.Job, co
 
 	j, err = d.backend.Submit(req)
 	if err != nil {
-		if d.maxFlight > 0 {
-			d.tenant(tenantID).inFlight--
-		}
+		d.release(tenantID)
 		switch {
 		case errors.Is(err, sched.ErrBacklogFull):
 			d.reject(d.rejFull)
@@ -216,6 +217,13 @@ func (d *Door) Admit(tenantID string, req sched.SubmitRequest) (j *sched.Job, co
 		return nil, false, err
 	}
 	d.admitted.Inc()
+	if j.Status().State.Terminal() {
+		// Settled already — a store hit, or a job failed at admission:
+		// nothing will run, so there is nothing to coalesce onto and no
+		// compute to hold a quota slot for.
+		d.release(tenantID)
+		return j, false, nil
+	}
 	if !req.Force {
 		d.flights[key] = j
 	}
@@ -227,19 +235,24 @@ func (d *Door) Admit(tenantID string, req sched.SubmitRequest) (j *sched.Job, co
 	return j, false, nil
 }
 
-// watch runs once per admitted leader job.
+// watch runs once per admitted leader job that did not come back settled.
 func (d *Door) watch(tenantID, key string, force bool, j *sched.Job) {
 	<-j.Done()
 	d.mu.Lock()
 	if !force && d.flights[key] == j {
 		delete(d.flights, key)
 	}
+	d.release(tenantID)
+	d.mu.Unlock()
+}
+
+// release frees one of the tenant's in-flight slots (caller holds d.mu).
+func (d *Door) release(tenantID string) {
 	if d.maxFlight > 0 {
 		if tn, ok := d.tenants[tenantID]; ok && tn.inFlight > 0 {
 			tn.inFlight--
 		}
 	}
-	d.mu.Unlock()
 }
 
 // charge spends one token from the tenant's bucket (caller holds d.mu).

@@ -265,3 +265,61 @@ func TestValidationBeforeCharging(t *testing.T) {
 		t.Fatalf("valid submit after invalid one: %v", err)
 	}
 }
+
+// TestStoreHitsHoldNoQuotaSlot: a store hit costs no compute, so it holds
+// no in-flight slot, no flight entry and no watcher. Once a cold job has
+// settled and freed the tenant's only slot, back-to-back warm admissions
+// all pass.
+func TestStoreHitsHoldNoQuotaSlot(t *testing.T) {
+	var computes atomic.Int64
+	be := newBackend(t, 64, &computes, false)
+	d := New(Config{Backend: be, TenantMaxInFlight: 1})
+
+	j, _, err := d.Admit("acme", req("fig2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	be.RunNext()
+	<-j.Done()
+	deadline := time.Now().Add(2 * time.Second)
+	for d.inFlight("acme") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the cold job's slot was never released")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	refused := 0
+	for i := 0; i < 200; i++ {
+		w, co, err := d.Admit("acme", req("fig2"))
+		if err != nil {
+			refused++
+			continue
+		}
+		if co || !w.Status().FromStore {
+			t.Fatalf("warm admission %d: coalesced=%v status=%+v, want a store hit", i, co, w.Status())
+		}
+	}
+	if refused > 0 {
+		t.Errorf("%d of 200 warm admissions refused under a free quota", refused)
+	}
+	if n := d.inFlight("acme"); n != 0 {
+		t.Errorf("store hits hold %d in-flight slots", n)
+	}
+	d.mu.Lock()
+	flights := len(d.flights)
+	d.mu.Unlock()
+	if flights != 0 {
+		t.Errorf("store hits left %d flight entries", flights)
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("computed %d times, want 1", n)
+	}
+}
+
+// inFlight reads a tenant's in-flight count.
+func (d *Door) inFlight(tenantID string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.tenant(tenantID).inFlight
+}

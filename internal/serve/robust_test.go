@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,6 +173,78 @@ func TestSubmitJournalFailureIs503(t *testing.T) {
 	}
 	if jobs := s.List(); len(jobs) != 0 {
 		t.Errorf("a job the journal never recorded is queued: %+v", jobs)
+	}
+}
+
+// TestStartJournalFailureFailsJob: a queued job whose start the journal
+// cannot record settles failed, with the journal's error, and never runs.
+// A start the journal does not count would let a job that kills its
+// process escape MaxStarts.
+func TestStartJournalFailureFailsJob(t *testing.T) {
+	registerTestExperiments()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var computes atomic.Int64
+	s, err := New(Config{
+		Store: st, Manual: true, Journal: filepath.Join(t.TempDir(), "journal.jsonl"),
+		Compute: func(ctx context.Context, spec bench.Job) (*ResultBundle, error) {
+			computes.Add(1)
+			return &ResultBundle{Output: "computed\n"}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s.Submit(SubmitRequest{Experiment: "fig2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Abort() // the journal file is closed; the started record cannot land
+	if !s.RunNext() {
+		t.Fatal("the submitted job was not queued")
+	}
+	fin := j.Status()
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "journal") {
+		t.Errorf("job = %s (%q), want failed with the journal's error", fin.State, fin.Error)
+	}
+	if n := computes.Load(); n != 0 {
+		t.Errorf("job computed %d times without a journaled start, want 0", n)
+	}
+}
+
+// TestStoreHitSurvivesTransientReadFault: a read of a store hit's entry
+// that fails transiently is not taken for a missing entry — the store
+// reports both as a miss — so the hit's ID still resolves.
+func TestStoreHitSurvivesTransientReadFault(t *testing.T) {
+	registerTestExperiments()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Store: st, Manual: true,
+		Compute: func(ctx context.Context, spec bench.Job) (*ResultBundle, error) {
+			return &ResultBundle{Output: "computed\n"}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(SubmitRequest{Experiment: "fig2"}); err != nil {
+		t.Fatal(err)
+	}
+	s.RunNext()
+	warm, err := s.Submit(SubmitRequest{Experiment: "fig2"})
+	if err != nil || !warm.Status().FromStore {
+		t.Fatalf("resubmission = %+v (%v), want a store hit", warm.Status(), err)
+	}
+	st.SetFaults(faultline.New(faultline.Spec{Rules: []faultline.Rule{
+		{Op: "store.read.meta", Kind: faultline.KindError, Times: 1},
+	}}))
+	if got, ok := s.Status(warm.Status().ID); !ok || got.State != StateDone {
+		t.Fatalf("store hit after one failed read: found=%t %+v, want done", ok, got)
 	}
 }
 

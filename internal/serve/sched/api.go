@@ -9,6 +9,17 @@
 // that takes its process down is started again, by journal replay or by
 // a cluster node that adopts it, and MaxStarts bounds that.
 //
+// A submission whose result is already stored is not a job. Submit answers
+// it with a settled view of the store entry under the ID
+// "<IDPrefix>k<store key>" (for example "k3f9a…", or "n2-k3f9a…" in a
+// cluster); no queue holds it and no journal records it. Get resolves that
+// ID by reading the store again, so it answers the same bytes on every
+// read and across restarts, and answers "no such job" once the entry is
+// gone: collected by GC after a SimVersion change, or deleted as corrupt
+// on a read. List reports only the jobs this process holds — queued and
+// computed ones — never store hits. Queued and computed jobs carry
+// "<IDPrefix>j<sequence>" IDs and the journaled lifecycle below.
+//
 // The package deliberately has no net/http dependency (enforced by a
 // test): the HTTP front door lives in internal/serve, and a future cluster
 // placement policy can drive a Scheduler over any transport. Results are

@@ -12,13 +12,16 @@ import (
 	"sync"
 
 	"sgxbounds/internal/protohook"
+	"sgxbounds/internal/telemetry"
 )
 
 // The job journal is sgxd's crash-durability layer: an append-only JSONL
-// file recording every job's lifecycle transitions, fsync'd per record. On
-// boot the journal is replayed — jobs that were queued or running when the
-// process died are resubmitted, their IDs preserved — and then compacted,
-// so the file holds only live state plus the records appended since boot.
+// file recording the lifecycle transitions of every job that queues,
+// fsync'd per record. A store hit is not a job and writes nothing: its ID
+// resolves through the store key (Scheduler.Get). On boot the journal is
+// replayed — jobs that were queued or running when the process died are
+// resubmitted, their IDs preserved — and then compacted, so the file holds
+// only live state plus the records appended since boot.
 //
 // Record stream grammar (one JSON object per line):
 //
@@ -63,10 +66,11 @@ type Replay struct {
 
 // Journal is the append side: one exclusive writer per daemon.
 type Journal struct {
-	mu    sync.Mutex
-	path  string
-	f     *os.File
-	hooks protohook.Hooks
+	mu      sync.Mutex
+	path    string
+	f       *os.File
+	hooks   protohook.Hooks
+	appends *telemetry.Counter // records made durable (nil-safe)
 }
 
 // OpenJournal replays the journal at path (creating it if absent), compacts
@@ -257,6 +261,7 @@ func (jn *Journal) Append(rec journalRecord) error {
 			return fmt.Errorf("journal: sync: %w", err)
 		}
 	}
+	jn.appends.Inc()
 	protohook.Yield(jn.hooks, "journal.appended."+rec.T, rec.ID)
 	return nil
 }

@@ -21,6 +21,8 @@ var ErrShuttingDown = errors.New("sched: shutting down")
 
 // Job is the scheduler-side record of one submitted job: its wire status
 // plus the run-side channels (cancellation, progress, telemetry profile).
+// A store hit's Job is a settled view built afresh from the store entry
+// (Scheduler.storeView): it never runs, and nothing keeps it.
 type Job struct {
 	req      SubmitRequest
 	ctx      context.Context
@@ -195,8 +197,7 @@ func (q *queue) RunNext() bool {
 // Add registers a new job record built from req, with its canonical spec
 // and store key resolved into the status. The job is visible to Get/List
 // immediately but runs only once Enqueue hands it to the worker pool — the
-// gap is where the server resolves instant warm hits without burning a
-// worker slot.
+// gap is where the scheduler journals it.
 func (q *queue) Add(req SubmitRequest, spec bench.Job, key string) (*Job, error) {
 	return q.add(req, spec, key, "", time.Now().Unix())
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"strings"
 	"time"
 
 	"sgxbounds/internal/bench"
@@ -34,9 +35,10 @@ type Config struct {
 	Metrics *telemetry.Registry
 
 	// Journal, when non-empty, is the path of the durable job journal:
-	// every accepted job is fsync'd there before the client sees a 201,
-	// and on boot the journal is replayed — queued or interrupted jobs
-	// resume, and one that has started MaxStarts times is failed. Empty
+	// every job that queues is fsync'd there before the client sees a
+	// 201, and on boot the journal is replayed — queued or interrupted
+	// jobs resume, and one that has started MaxStarts times is failed. A
+	// store hit is not a job and writes nothing (see Submit). Empty
 	// disables durability (in-process tests, throwaway daemons).
 	Journal string
 	// Faults, when non-nil, is the armed fault injector; the scheduler
@@ -61,11 +63,12 @@ type Config struct {
 	// calls RunNext, on the caller's goroutine. This is the deterministic
 	// drive protocheck schedules; production daemons leave it false.
 	Manual bool
-	// IDPrefix namespaces minted job IDs ("<prefix>j000001"). Cluster
-	// nodes pass "<nodeID>-" so IDs are globally unique across the
-	// membership and name the node that holds the job: any node resolves
-	// a fetched ID locally or by proxying to the node its prefix names.
-	// Empty outside cluster mode (the historical format).
+	// IDPrefix namespaces minted job IDs ("<prefix>j000001") and store
+	// hits' IDs ("<prefix>k<store key>"). Cluster nodes pass "<nodeID>-"
+	// so IDs are globally unique across the membership and name the node
+	// that holds the job: any node resolves a fetched ID locally or by
+	// proxying to the node its prefix names. Empty outside cluster mode
+	// (the historical format).
 	IDPrefix string
 }
 
@@ -138,8 +141,11 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	// Register the robustness counters at zero so /metrics shows the full
 	// vocabulary from boot, not only after the first fault.
-	for _, name := range []string{"journal.replayed", "store.put_retries"} {
+	for _, name := range []string{"journal.replayed", "journal.appends", "store.put_retries"} {
 		s.metrics.Counter(name)
+	}
+	if jn != nil {
+		jn.appends = s.metrics.Counter("journal.appends")
 	}
 
 	backlog := cfg.Backlog
@@ -268,18 +274,30 @@ func (s *Scheduler) jobFinished(j *Job) {
 // not be journaled: the job is not accepted, and the API maps it to 503.
 var ErrNotDurable = errors.New("sched: job journal unavailable")
 
-// Submit validates and enqueues a job (the admitted form of POST
-// /api/v1/jobs, shared by the front door, in-process tests and cmd
-// tooling). A job whose result is already in the result tier completes
-// immediately, without waiting behind whatever the worker pool is
-// computing. A job adopted at MaxStarts (req.Attempts) is failed at once.
+// Submit validates a job and settles it from the result tier or enqueues
+// it (the admitted form of POST /api/v1/jobs, shared by the front door,
+// in-process tests and cmd tooling). A submission whose result is already
+// stored is not a job: it returns the entry's settled view (see Get),
+// which no queue holds and no journal records. Every other submission —
+// a miss, or Force — is journaled before it queues. A job adopted at
+// MaxStarts (req.Attempts) is failed at once.
 func (s *Scheduler) Submit(req SubmitRequest) (*Job, error) {
 	j := req.Job()
 	if err := j.Validate(); err != nil {
 		return nil, err
 	}
-	spec := j.Canonical()
-	rec, err := s.queue.Add(req, spec, req.StoreKey())
+	// A store hit never reaches the queue's own shutdown check in Add.
+	if !s.queue.Accepting() {
+		return nil, ErrShuttingDown
+	}
+	key := req.StoreKey()
+	if !req.Force {
+		if view, ok := s.storeView(key); ok {
+			s.metrics.Counter("store.hits").Inc()
+			return view, nil
+		}
+	}
+	rec, err := s.queue.Add(req, j.Canonical(), key)
 	if err != nil {
 		return nil, err
 	}
@@ -297,9 +315,6 @@ func (s *Scheduler) Submit(req SubmitRequest) (*Job, error) {
 	}
 	s.metrics.Counter("jobs.submitted").Inc()
 	if s.exhausted(rec) {
-		return rec, nil
-	}
-	if !req.Force && s.serveFromStore(rec, st.Key) {
 		return rec, nil
 	}
 	if err := s.queue.Enqueue(rec); err != nil {
@@ -320,19 +335,43 @@ func (s *Scheduler) Submit(req SubmitRequest) (*Job, error) {
 // pool it is safe but redundant.
 func (s *Scheduler) RunNext() bool { return s.queue.RunNext() }
 
-// Get returns the job record with the given ID.
-func (s *Scheduler) Get(id string) (*Job, bool) { return s.queue.Get(id) }
+// Get returns the job with the given ID: a queued or computed job this
+// process holds or, for an ID of the form <IDPrefix>k<store key>, the
+// settled view of that store entry, read afresh on every call. So a store
+// hit's ID answers the same way on every read and across restarts, and
+// answers false once its entry is gone (collected, or deleted as corrupt
+// on a read). The key must pass the store's validation before any disk is
+// touched. A read can fail transiently (the store reports an I/O error as
+// a miss), so an entry is declared gone only after three tries, as
+// persist retries a write.
+func (s *Scheduler) Get(id string) (*Job, bool) {
+	if j, ok := s.queue.Get(id); ok {
+		return j, true
+	}
+	key, ok := strings.CutPrefix(id, s.queue.idPrefix+"k")
+	if !ok || store.ValidKey(key) != nil {
+		return nil, false
+	}
+	for try := 0; try < 3; try++ {
+		if j, ok := s.storeView(key); ok {
+			return j, true
+		}
+	}
+	return nil, false
+}
 
 // Status returns the wire status of one job.
 func (s *Scheduler) Status(id string) (JobStatus, bool) {
-	j, ok := s.queue.Get(id)
+	j, ok := s.Get(id)
 	if !ok {
 		return JobStatus{}, false
 	}
 	return j.Status(), true
 }
 
-// List returns every job's status in submission order.
+// List returns the status of every job this process holds — queued and
+// computed jobs — in submission order. Store hits are not jobs and are not
+// listed.
 func (s *Scheduler) List() []JobStatus {
 	jobs := s.queue.List()
 	statuses := make([]JobStatus, len(jobs))
@@ -344,7 +383,7 @@ func (s *Scheduler) List() []JobStatus {
 
 // Result returns a job's result bundle, if it finished with one.
 func (s *Scheduler) Result(id string) (*ResultBundle, bool) {
-	j, ok := s.queue.Get(id)
+	j, ok := s.Get(id)
 	if !ok {
 		return nil, false
 	}
@@ -352,9 +391,10 @@ func (s *Scheduler) Result(id string) (*ResultBundle, bool) {
 }
 
 // Cancel requests cancellation of a job; false means no such job. Like
-// DELETE /api/v1/jobs/{id}, cancelling a terminal job is a no-op.
+// DELETE /api/v1/jobs/{id}, cancelling a terminal job (a store hit
+// included) is a no-op.
 func (s *Scheduler) Cancel(id string) bool {
-	j, ok := s.queue.Get(id)
+	j, ok := s.Get(id)
 	if !ok {
 		return false
 	}
@@ -387,11 +427,16 @@ func (s *Scheduler) runJob(j *Job) {
 
 	// A durable "started" record counts this start: if the process dies
 	// mid-run, replay knows the job was interrupted, and how often (see
-	// MaxStarts).
-	j.countStart()
+	// MaxStarts). A start the journal cannot count is not made, or a job
+	// that kills its process could escape the bound.
 	if err := s.journal.Append(journalRecord{T: "started", ID: st.ID, Unix: time.Now().Unix()}); err != nil {
-		s.log.Printf("journal: %v", err)
+		err = fmt.Errorf("not started: %w", err)
+		s.metrics.Counter("jobs.failed").Inc()
+		s.log.Printf("job %s failed: %v", st.ID, err)
+		j.finish(StateFailed, func(st *JobStatus) { st.Error = err.Error() })
+		return
 	}
+	j.countStart()
 	s.faults.Crash("job.started")
 
 	// The deadline: the engine aborts at its next hierarchy probe once the
@@ -559,27 +604,74 @@ func runSafely(work func() error) (err error) {
 	return work()
 }
 
-// serveFromStore settles j from the result store when key is stored, and
-// reports whether it did. A stored bundle that fails to decode is treated
-// as corruption (deleted, so the caller recomputes), mirroring the
-// store's own checks.
+// serveFromStore settles a queued job from the result tier when its key
+// is stored, and reports whether it did — the worker's recheck, for a job
+// that queued while another computed the same key.
 func (s *Scheduler) serveFromStore(j *Job, key string) bool {
-	body, meta, ok := s.store.Get(key, bench.SimVersion)
+	bundle, meta, ok := s.stored(key)
 	if !ok {
 		return false
+	}
+	s.metrics.Counter("store.hits").Inc()
+	j.progress.Append(servedLine(meta))
+	j.finish(StateDone, func(st *JobStatus) {
+		st.FromStore = true
+		j.bundle = bundle
+	})
+	return true
+}
+
+// storeView returns the settled job that stands for key's store entry: a
+// pure function of the entry, so Submit's answer and every later Get of
+// the same ID agree. Its spec is the job the entry records (store.Meta.Job);
+// an entry whose record does not digest to key cannot stand for it and
+// reads as a miss, so a submission recomputes and rewrites it.
+func (s *Scheduler) storeView(key string) (*Job, bool) {
+	bundle, meta, ok := s.stored(key)
+	var spec bench.Job
+	if !ok || json.Unmarshal(meta.Job, &spec) != nil || spec.Digest() != key {
+		return nil, false
+	}
+	j := &Job{
+		cancel:   func() {},
+		progress: newProgressBuffer(),
+		done:     settledDone,
+		status: JobStatus{
+			ID: s.queue.idPrefix + "k" + key, Key: key, State: StateDone, Job: spec,
+			FromStore: true, CreatedUnix: meta.CreatedUnix, FinishedUnix: meta.CreatedUnix,
+		},
+		bundle: bundle,
+	}
+	j.progress.Append(servedLine(meta))
+	j.progress.Close()
+	return j, true
+}
+
+// settledDone is every store view's Done channel: closed from the start.
+var settledDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// stored reads key's result bundle from the tier. A stored bundle that
+// fails to decode is treated as corruption (deleted, so the caller
+// recomputes), mirroring the store's own checks.
+func (s *Scheduler) stored(key string) (*ResultBundle, store.Meta, bool) {
+	body, meta, ok := s.store.Get(key, bench.SimVersion)
+	if !ok {
+		return nil, meta, false
 	}
 	var bundle ResultBundle
 	if err := json.Unmarshal(body, &bundle); err != nil {
 		s.store.Delete(key)
-		return false
+		return nil, meta, false
 	}
-	s.metrics.Counter("store.hits").Inc()
-	j.progress.Append(fmt.Sprintf("served from store (saved ~%dms of compute)", meta.ElapsedMS))
-	j.finish(StateDone, func(st *JobStatus) {
-		st.FromStore = true
-		j.bundle = &bundle
-	})
-	return true
+	return &bundle, meta, true
+}
+
+func servedLine(meta store.Meta) string {
+	return fmt.Sprintf("served from store (saved ~%dms of compute)", meta.ElapsedMS)
 }
 
 func (s *Scheduler) persist(key string, spec bench.Job, bundle *ResultBundle, elapsedMS int64) {

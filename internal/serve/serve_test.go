@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -198,6 +199,144 @@ func TestWarmHitServedFromStore(t *testing.T) {
 	if got, want := fetchResult(t, ts, forced.ID), fetchResult(t, ts, first.ID); got != want {
 		t.Errorf("forced recompute differs from original")
 	}
+}
+
+// TestWarmHitIsStoreView: a resubmission whose result is stored is a view
+// of the store entry, not a job. Every warm submission answers the same
+// k<key> ID, its POST body equals its GET body, and it leaves the
+// journal's bytes and the job list as they were. The ID answers status,
+// result and progress; it has no profile, and a cancel changes nothing. A
+// new server over the same store and journal resolves it to the same
+// bytes, and Force still queues a journaled job.
+func TestWarmHitIsStoreView(t *testing.T) {
+	registerTestExperiments()
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "journal.jsonl")
+	boot := func() (*Server, *httptest.Server) {
+		st, err := store.Open(filepath.Join(dir, "store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Store: st, Manual: true, Parallel: 2, Journal: journal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, httptest.NewServer(s.Handler())
+	}
+	s1, ts1 := boot()
+	cold := submit(t, ts1, SubmitRequest{Experiment: "fig2"})
+	for s1.RunNext() {
+	}
+	want := fetchResult(t, ts1, cold.ID)
+	if want != directOutput(t, "fig2") {
+		t.Fatal("cold result differs from sgxbench")
+	}
+	journalBefore, _ := os.ReadFile(journal)
+	listBefore := s1.List()
+
+	warmID := "k" + cold.Key
+	for i := 0; i < 5; i++ {
+		st := submit(t, ts1, SubmitRequest{Experiment: "fig2"})
+		if st.ID != warmID || st.State != StateDone || !st.FromStore {
+			t.Fatalf("warm submission %d = %+v, want done from store as %s", i, st, warmID)
+		}
+		if got := getStatus(t, ts1, st.ID); !reflect.DeepEqual(got, st) {
+			t.Fatalf("GET %s = %+v, POST answered %+v", st.ID, got, st)
+		}
+	}
+	if journalAfter, _ := os.ReadFile(journal); !bytes.Equal(journalAfter, journalBefore) {
+		t.Errorf("warm submissions wrote to the journal:\n%s", journalAfter[len(journalBefore):])
+	}
+	if got := s1.List(); !reflect.DeepEqual(got, listBefore) {
+		t.Errorf("warm submissions changed the job list: %+v, was %+v", got, listBefore)
+	}
+
+	if got := fetchResult(t, ts1, warmID); got != want {
+		t.Error("warm ID serves different bytes")
+	}
+	if got := httpGet(t, ts1.URL+"/api/v1/jobs/"+warmID+"/progress", http.StatusOK); !strings.Contains(got, "served from store") {
+		t.Errorf("warm progress = %q", got)
+	}
+	httpGet(t, ts1.URL+"/api/v1/jobs/"+warmID+"/profile", http.StatusNotFound)
+	del, _ := http.NewRequest(http.MethodDelete, ts1.URL+"/api/v1/jobs/"+warmID, nil)
+	resp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := getStatus(t, ts1, warmID); resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Errorf("cancel of a warm ID: %s, then %s; want 200 and still done", resp.Status, st.State)
+	}
+	// The key part must be a valid store key before any disk is touched.
+	for _, bad := range []string{"k" + strings.ToUpper(cold.Key), "k..", "k" + cold.Key[:3], "k"} {
+		if _, ok := s1.Status(bad); ok {
+			t.Errorf("ID %q resolved", bad)
+		}
+	}
+	s1.Shutdown(context.Background())
+	ts1.Close()
+
+	s2, ts2 := boot()
+	defer func() { s2.Shutdown(context.Background()); ts2.Close() }()
+	if got := fetchResult(t, ts2, warmID); got != want {
+		t.Error("warm ID serves different bytes after a restart")
+	}
+	forced := submit(t, ts2, SubmitRequest{Experiment: "fig2", Force: true})
+	if forced.ID == warmID || forced.State != StateQueued {
+		t.Fatalf("forced submission = %+v, want a queued job", forced)
+	}
+	if raw, _ := os.ReadFile(journal); !strings.Contains(string(raw), `"id":"`+forced.ID+`"`) {
+		t.Errorf("forced job %s not journaled", forced.ID)
+	}
+}
+
+// TestJournalAppendsCounted: sgxd_journal_appends_total counts the records
+// made durable. A cold job writes three (submitted, started, finished) and
+// a store hit none.
+func TestJournalAppendsCounted(t *testing.T) {
+	registerTestExperiments()
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Store: st, Manual: true, Parallel: 2, Journal: filepath.Join(t.TempDir(), "journal.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() { s.Shutdown(context.Background()); ts.Close() }()
+	appends := func(want int) {
+		t.Helper()
+		line := fmt.Sprintf("sgxd_journal_appends_total %d\n", want)
+		if m := metricsText(t, ts); !strings.Contains(m, line) {
+			t.Fatalf("metrics lack %q", line)
+		}
+	}
+	appends(0)
+	submit(t, ts, SubmitRequest{Experiment: "fig2"})
+	for s.RunNext() {
+	}
+	appends(3)
+	for i := 0; i < 3; i++ {
+		submit(t, ts, SubmitRequest{Experiment: "fig2"})
+		appends(3)
+	}
+}
+
+// httpGet fetches url, requires the given status code, and returns the
+// body.
+func httpGet(t *testing.T, url string, code int) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != code {
+		t.Fatalf("GET %s: %s, want %d: %s", url, resp.Status, code, raw)
+	}
+	return string(raw)
 }
 
 // TestSurvivesRestart: the store is persistent — a new server over the same

@@ -48,10 +48,12 @@ type Config struct {
 	Log      *log.Logger
 
 	// Journal, when non-empty, is the path of the durable job journal:
-	// every accepted job is fsync'd there before the client sees a 201,
-	// and on boot the journal is replayed — queued or interrupted jobs
-	// resume, and one that has started sched.MaxStarts times is failed.
-	// Empty disables durability (in-process tests, throwaway daemons).
+	// every job that queues is fsync'd there before the client sees a
+	// 201, and on boot the journal is replayed — queued or interrupted
+	// jobs resume, and one that has started sched.MaxStarts times is
+	// failed. A store hit writes nothing: its "k<store key>" ID resolves
+	// through the store. Empty disables durability (in-process tests,
+	// throwaway daemons).
 	Journal string
 	// Faults, when non-nil, is the armed fault injector; the server wires
 	// it into its store and scheduler ("engine.cell" / "crash.*" sites).
@@ -488,9 +490,10 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, all)
 }
 
-// jobFor resolves {id} to a local job. In cluster mode, an ID minted by
-// another member is proxied to that member instead (the response is then
-// already written).
+// jobFor resolves {id} to a local job, or to the settled view of a local
+// store entry for a store hit's ID (sched.Scheduler.Get). In cluster mode,
+// an ID minted by another member is proxied to that member instead (the
+// response is then already written).
 func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*sched.Job, bool) {
 	id := r.PathValue("id")
 	if j, ok := s.sched.Get(id); ok {

@@ -146,7 +146,9 @@ func (s *Store) Writable() error {
 	return nil
 }
 
-func validKey(key string) error {
+// ValidKey reports whether key can name an entry: at least four lower-case
+// hex characters. Every method checks it before touching the filesystem.
+func ValidKey(key string) error {
 	if len(key) < 4 {
 		return fmt.Errorf("store: key %q too short", key)
 	}
@@ -166,7 +168,7 @@ func (s *Store) meta(key string) string { return filepath.Join(s.dir(key), key+"
 // and Size are filled in by the store; the caller provides Version,
 // CreatedUnix, ElapsedMS and Job.
 func (s *Store) Put(key string, body []byte, meta Meta) error {
-	if err := validKey(key); err != nil {
+	if err := ValidKey(key); err != nil {
 		return err
 	}
 	if meta.Version == "" {
@@ -261,7 +263,7 @@ func (s *Store) writeAtomic(dir, dst string, data []byte) error {
 // cannot yank the body out from under a reader that already verified the
 // meta record.
 func (s *Store) Get(key, version string) (body []byte, meta Meta, ok bool) {
-	if validKey(key) != nil {
+	if ValidKey(key) != nil {
 		return nil, Meta{}, false
 	}
 	mu := s.lock(key)
@@ -309,7 +311,7 @@ func (s *Store) Get(key, version string) (body []byte, meta Meta, ok bool) {
 
 // Stat returns the metadata for key without reading or verifying the body.
 func (s *Store) Stat(key string) (Meta, bool) {
-	if validKey(key) != nil {
+	if ValidKey(key) != nil {
 		return Meta{}, false
 	}
 	mj, err := os.ReadFile(s.meta(key))
@@ -325,7 +327,7 @@ func (s *Store) Stat(key string) (Meta, bool) {
 
 // Delete removes the entry under key (missing entries are not an error).
 func (s *Store) Delete(key string) error {
-	if err := validKey(key); err != nil {
+	if err := ValidKey(key); err != nil {
 		return err
 	}
 	mu := s.lock(key)
@@ -404,7 +406,7 @@ func (s *Store) GC(keep string) (removed int, err error) {
 			os.Remove(path)
 		case strings.HasSuffix(name, ".json"):
 			key := strings.TrimSuffix(name, ".json")
-			if validKey(key) != nil {
+			if ValidKey(key) != nil {
 				return nil
 			}
 			mu := s.lock(key)
@@ -420,7 +422,7 @@ func (s *Store) GC(keep string) (removed int, err error) {
 			mu.Unlock()
 		case strings.HasSuffix(name, ".body"):
 			key := strings.TrimSuffix(name, ".body")
-			if validKey(key) != nil {
+			if ValidKey(key) != nil {
 				return nil
 			}
 			mu := s.lock(key)
