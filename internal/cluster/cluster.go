@@ -24,17 +24,24 @@
 //     variant — a node whose queue exceeds its fair share spills to the
 //     next ring node, so hot shards spread). Submit is the one path every
 //     submission takes to the node that runs it: a client's POST, a dead
-//     node's adopted job and a leaving node's handoff. The ring is rebuilt
-//     atomically on every epoch change; an in-flight forward that loses
-//     the race re-routes once against the new epoch before falling back
-//     to local compute. An owner's 4xx (backpressure, quota) is final: the
-//     forwarding node relays it instead of admitting the job itself. The
-//     forward is an ordinary POST /api/v1/jobs whose headers this package
-//     writes (forward) and reads back on the owner (ReadForward).
+//     node's adopted job and a leaving node's handoff. A node serves a key
+//     itself when it owns it or already holds its result; otherwise it
+//     forwards. The ring is rebuilt atomically on every epoch change; an
+//     in-flight forward that loses the race re-routes once against the new
+//     epoch before falling back to local compute. An owner's 4xx
+//     (backpressure, quota) is final: the forwarding node relays it instead
+//     of admitting the job itself. The forward is an ordinary POST
+//     /api/v1/jobs whose headers this package writes (forward) and reads
+//     back on the owner (ReadForward).
 //   - Peer-fetch read-through: a local result miss consults live peers
 //     before computing, owner first. Peer bytes are re-verified (key,
 //     SimVersion, size, sha256) on arrival; corrupt bytes count, log, and
-//     fall through — they never reach a cache tier or a client.
+//     fall through — they never reach a cache tier or a client. The same
+//     fetch keeps a replica: when a forward comes back as the owner's store
+//     hit, the forwarding node fetches that entry once and commits it to
+//     its own store, so repeat hits are served where they land instead of
+//     crossing nodes. A node's store thus holds every result it has
+//     answered.
 //   - Re-replication: on every epoch change each node scans its store
 //     manifest and pushes verified copies of results it no longer owns to
 //     the new owner (rate-limited, resumable; see rebalance.go), so a
@@ -67,6 +74,7 @@ import (
 	"sync"
 	"time"
 
+	"sgxbounds/internal/bench"
 	"sgxbounds/internal/faultline"
 	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
@@ -705,7 +713,9 @@ func (c *Cluster) ownerOf(key string) string {
 // 4xx is its final answer and comes back as a *Rejection, for the caller
 // to relay (recovery retries the job next tick, and a leaving node drains
 // it itself). Any other failure falls back to Local.Admit: no job is ever
-// lost to topology churn.
+// lost to topology churn. When the owner answers a store hit, this node
+// keeps a verified replica of it (keepReplica) before relaying the answer
+// unchanged, so the next submission of the key here is a local store hit.
 func (c *Cluster) Submit(tenant string, req sched.SubmitRequest) (sched.JobStatus, bool, error) {
 	key := req.StoreKey()
 	node, local := c.route(key, req.Force)
@@ -718,12 +728,40 @@ func (c *Cluster) Submit(tenant string, req sched.SubmitRequest) (sched.JobStatu
 			st, coalesced, err = c.forward(next, tenant, req)
 		}
 	}
-	if err == nil || isRejection(err) {
+	if err == nil {
+		if !req.Force && st.FromStore && st.State == sched.StateDone && st.Key == key {
+			c.keepReplica(key)
+		}
+		return st, coalesced, nil
+	}
+	if isRejection(err) {
 		return st, coalesced, err
 	}
 	c.forwardFallback.Inc()
 	c.log.Printf("cluster: forward of %.12s… to %s failed (%v); admitting locally", key, node, err)
 	return c.local.Admit(tenant, req)
+}
+
+// keepReplica fetches key's entry from the peers, owner first, and
+// commits it to this node's raw store, as serveReplicate commits a pushed
+// result. FetchResult re-verifies the bytes, so only bytes that passed
+// verifyEnvelope are stored. A leaving or departed node keeps nothing: it
+// is handing its work away. A failed fetch or write stores nothing, and
+// the next submission of the key forwards again.
+func (c *Cluster) keepReplica(key string) {
+	c.mu.Lock()
+	gone := c.leaving || c.departed
+	c.mu.Unlock()
+	if gone {
+		return
+	}
+	body, meta, ok := c.FetchResult(key, bench.SimVersion)
+	if !ok {
+		return
+	}
+	if err := c.store.Put(key, body, meta); err != nil {
+		c.log.Printf("cluster: replica of %.12s… not stored: %v", key, err)
+	}
 }
 
 func isRejection(err error) bool {

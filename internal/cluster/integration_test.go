@@ -38,10 +38,55 @@ type testNode struct {
 	url      string
 	srv      *serve.Server
 	ts       *httptest.Server
+	store    *store.Store // its raw disk tier
 	computes *atomic.Int64
-	journal  string // journal path; empty when built without one
-	release  func() // opens the compute gate (no-op when ungated)
-	stop     func() // idempotent teardown
+	served   *served // requests its handler served, by route
+	journal  string  // journal path; empty when built without one
+	release  func()  // opens the compute gate (no-op when ungated)
+	stop     func()  // idempotent teardown
+}
+
+// hops is a count of requests one node served, by route: client
+// submissions, forwarded submissions (X-Sgxd-Forwarded, which
+// submitPinned sends too), job reads (status, result, progress and
+// profile, whether a client or a proxying peer asked) and peer result
+// fetches. A test asserts what an op cost by subtracting two snapshots.
+type hops struct {
+	submits, forwards, jobReads, peerFetches int64
+}
+
+func (h hops) minus(o hops) hops {
+	return hops{h.submits - o.submits, h.forwards - o.forwards,
+		h.jobReads - o.jobReads, h.peerFetches - o.peerFetches}
+}
+
+// served counts a node's requests as its handler receives them, so the
+// count is complete once the request that caused them has returned.
+type served struct {
+	submits, forwards, jobReads, peerFetches atomic.Int64
+}
+
+func (c *served) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		path := r.URL.Path
+		switch {
+		case r.Method == http.MethodPost && path == "/api/v1/jobs":
+			if r.Header.Get("X-Sgxd-Forwarded") != "" {
+				c.forwards.Add(1)
+			} else {
+				c.submits.Add(1)
+			}
+		case r.Method == http.MethodGet && strings.HasPrefix(path, "/api/v1/jobs/"):
+			c.jobReads.Add(1)
+		case r.Method == http.MethodGet && strings.HasPrefix(path, "/api/v1/cluster/results/"):
+			c.peerFetches.Add(1)
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+func (c *served) snapshot() hops {
+	return hops{c.submits.Load(), c.forwards.Load(), c.jobReads.Load(), c.peerFetches.Load()}
 }
 
 // nodeOpts tweaks one node's build.
@@ -133,7 +178,8 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewUnstartedServer(srv.Handler())
+	counts := &served{}
+	ts := httptest.NewUnstartedServer(counts.wrap(srv.Handler()))
 	ts.Listener.Close()
 	ts.Listener = ln
 	ts.Start()
@@ -144,7 +190,9 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 		url:      "http://" + ln.Addr().String(),
 		srv:      srv,
 		ts:       ts,
+		store:    st,
 		computes: &computes,
+		served:   counts,
 		journal:  journal,
 		release:  func() { relOnce.Do(func() { close(gate) }) },
 	}
@@ -444,6 +492,127 @@ func TestWarmIDReadsThroughAnyNode(t *testing.T) {
 	}
 	if got, want := fetchResult(t, reader.url, warm.ID), output(req.Job().Canonical()); got != want {
 		t.Errorf("via %s: %q, want %q", reader.id, got, want)
+	}
+}
+
+// TestWarmHitAtNonOwnerKeepsReplica: a node that forwards a submission
+// and gets the owner's store hit back keeps a verified replica, so its
+// next submission of the key is a local store hit: no forward, and no
+// proxied read of its result. Its ID names the replica's holder, and any
+// node reads it there. A forced submission is still forwarded and leaves
+// no replica.
+func TestWarmHitAtNonOwnerKeepsReplica(t *testing.T) {
+	nodes := startCluster(t, 2, nil)
+	front, owner := nodes[0], nodes[1]
+	req, cold := firstOwnedBy(t, front, owner)
+	waitDone(t, front.url, cold.ID)
+	want := output(req.Job().Canonical())
+
+	forced := req
+	forced.Force = true
+	before := owner.served.snapshot()
+	st := submitVia(t, front.url, forced)
+	if d := owner.served.snapshot().minus(before); d.forwards != 1 || st.Node != owner.id || st.FromStore {
+		t.Fatalf("forced resubmission = %+v after %d forwards to %s, want one forward that queues a job", st, d.forwards, owner.id)
+	}
+	waitDone(t, front.url, st.ID)
+	if _, ok := front.store.Stat(cold.Key); ok {
+		t.Fatal("a forced submission left a replica at the forwarding node")
+	}
+
+	first := submitVia(t, front.url, req)
+	if first.ID != owner.id+"-k"+cold.Key || !first.FromStore {
+		t.Fatalf("first warm resubmission = %+v, want the owner's store hit %s-k%s", first, owner.id, cold.Key)
+	}
+	if _, ok := front.store.Stat(cold.Key); !ok {
+		t.Fatal("the forwarded store hit left no replica at the forwarding node")
+	}
+
+	before = owner.served.snapshot()
+	second := submitVia(t, front.url, req)
+	if second.ID != front.id+"-k"+cold.Key || second.Node != front.id || !second.FromStore {
+		t.Fatalf("second warm resubmission = %+v, want the local store hit %s-k%s", second, front.id, cold.Key)
+	}
+	if got := fetchResult(t, front.url, second.ID); got != want {
+		t.Fatalf("replica served %q, want %q", got, want)
+	}
+	if d := owner.served.snapshot().minus(before); d != (hops{}) {
+		t.Fatalf("a local store hit and its result read cost %s %+v, want nothing", owner.id, d)
+	}
+
+	before = front.served.snapshot()
+	if got := fetchResult(t, owner.url, second.ID); got != want {
+		t.Fatalf("via %s: %q, want %q", owner.id, got, want)
+	}
+	if d := front.served.snapshot().minus(before); d.jobReads != 1 {
+		t.Fatalf("a read of %s through %s made %d job reads at %s, want 1 (proxied)", second.ID, owner.id, d.jobReads, front.id)
+	}
+}
+
+// TestCorruptReplicaIsNotKept: replica bytes that fail verification on
+// arrival are counted and never stored, so the next submission of the key
+// forwards again, and every result read serves the owner's bytes.
+func TestCorruptReplicaIsNotKept(t *testing.T) {
+	inj := faultline.New(faultline.Spec{Rules: []faultline.Rule{{
+		Op: "cluster.peer.body", Kind: faultline.KindBitflip,
+	}}})
+	nodes := startCluster(t, 2, func(i int) nodeOpts {
+		if i == 0 {
+			return nodeOpts{faults: inj}
+		}
+		return nodeOpts{}
+	})
+	front, owner := nodes[0], nodes[1]
+	req, cold := firstOwnedBy(t, front, owner)
+	waitDone(t, front.url, cold.ID)
+
+	for i := 0; i < 2; i++ {
+		before := owner.served.snapshot()
+		st := submitVia(t, front.url, req)
+		if d := owner.served.snapshot().minus(before); d.forwards != 1 || st.ID != owner.id+"-k"+cold.Key {
+			t.Fatalf("warm resubmission %d = %+v after %d forwards, want one forward answered %s-k%s", i, st, d.forwards, owner.id, cold.Key)
+		}
+		if _, ok := front.store.Stat(cold.Key); ok {
+			t.Fatalf("warm resubmission %d stored a replica whose bytes failed verification", i)
+		}
+		if got, want := fetchResult(t, front.url, st.ID), output(req.Job().Canonical()); got != want {
+			t.Fatalf("warm resubmission %d: %q, want %q", i, got, want)
+		}
+	}
+	if v := metricValue(metricsText(t, front.url), "sgxd_cluster_peer_corrupt_total"); v != 2 {
+		t.Fatalf("sgxd_cluster_peer_corrupt_total = %v, want 2 (one per replica fetch)", v)
+	}
+}
+
+// TestStoreHitReadAsksPeersOnce: a node resolves a store hit's ID of its
+// own from its store and tries a failing read three times, but only the
+// last try reads through to the peers: an ID whose entry is nowhere costs
+// each peer one result fetch before the 404. A present entry resolves
+// from the local store, byte-identical, without asking a peer.
+func TestStoreHitReadAsksPeersOnce(t *testing.T) {
+	nodes := startCluster(t, 2, nil)
+	holder, peer := nodes[0], nodes[1]
+	absent := holder.id + "-k" + strings.Repeat("0f", 32)
+	before := peer.served.snapshot()
+	if code := getJSON(t, holder.url+"/api/v1/jobs/"+absent, nil); code != http.StatusNotFound {
+		t.Fatalf("GET %s: HTTP %d, want 404", absent, code)
+	}
+	if d := peer.served.snapshot().minus(before); d.peerFetches != 1 {
+		t.Fatalf("GET %s made %d result fetches at %s, want 1", absent, d.peerFetches, peer.id)
+	}
+
+	req := serve.SubmitRequest{Experiment: "fig2"}
+	waitDone(t, holder.url, submitPinned(t, holder.url, req).ID)
+	warm := submitPinned(t, holder.url, req)
+	if warm.ID != holder.id+"-k"+warm.Key {
+		t.Fatalf("resubmission = %+v, want the store hit %s-k%s", warm, holder.id, warm.Key)
+	}
+	before = peer.served.snapshot()
+	if got, want := fetchResult(t, holder.url, warm.ID), output(req.Job().Canonical()); got != want {
+		t.Fatalf("store hit %s: %q, want %q", warm.ID, got, want)
+	}
+	if d := peer.served.snapshot().minus(before); d != (hops{}) {
+		t.Fatalf("a read of the present %s cost %s %+v, want nothing", warm.ID, peer.id, d)
 	}
 }
 

@@ -85,6 +85,19 @@ func ownedBy(t *testing.T, c *Cluster, node string) string {
 	return ""
 }
 
+// routedTo returns a submission that c forwards to node.
+func routedTo(t *testing.T, c *Cluster, node string) sched.SubmitRequest {
+	t.Helper()
+	for i := 1; i <= 64; i++ {
+		req := sched.SubmitRequest{Experiment: "fig7", Threads: i}
+		if to, local := c.route(req.StoreKey(), false); !local && to == node {
+			return req
+		}
+	}
+	t.Fatalf("no probe spec was routed to %s", node)
+	return sched.SubmitRequest{}
+}
+
 // TestPeerWireRoundTrips drives every client call of the peer protocol
 // against the handlers Register mounts, over a real listener.
 func TestPeerWireRoundTrips(t *testing.T) {
@@ -277,6 +290,44 @@ func TestForwardRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplicaKeptOnlyInRing drives Submit against an owner that answers
+// every forward from its store: the forwarding node keeps a verified
+// replica, but not while it is leaving, when its submissions are handoffs
+// of work it is giving away.
+func TestReplicaKeptOnlyInRing(t *testing.T) {
+	w := newWirePair(t, nil)
+	w.mux.HandleFunc("POST /api/v1/jobs", func(rw http.ResponseWriter, r *http.Request) {
+		var req sched.SubmitRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		key := req.StoreKey()
+		writeJSON(rw, http.StatusCreated, sched.JobStatus{ID: "n2-k" + key, Key: key, Node: "n2", State: sched.StateDone, FromStore: true})
+	})
+	req := routedTo(t, w.cli, "n2")
+	key := req.StoreKey()
+	putResult(t, w.srv.store, key, []byte("held by n2\n"))
+	submit := func() {
+		t.Helper()
+		if st, _, err := w.cli.Submit("t", req); err != nil || st.Node != "n2" {
+			t.Fatalf("Submit = (%+v, %v), want n2's answer", st, err)
+		}
+	}
+
+	w.cli.mu.Lock()
+	w.cli.leaving = true
+	w.cli.mu.Unlock()
+	submit()
+	if _, ok := w.cli.store.Stat(key); ok {
+		t.Fatal("a leaving node kept a replica of a store hit it forwarded")
+	}
+	w.cli.mu.Lock()
+	w.cli.leaving = false
+	w.cli.mu.Unlock()
+	submit()
+	if body, _, ok := w.cli.store.Get(key, bench.SimVersion); !ok || string(body) != "held by n2\n" {
+		t.Fatalf("replica = (%q, %v), want n2's bytes", body, ok)
+	}
+}
+
 // admitLocal is a Local that records what its node admits.
 type admitLocal struct {
 	nopLocal
@@ -310,16 +361,7 @@ func TestSubmitUnreachableOwnerFallsBack(t *testing.T) {
 	c.peers["n2"].lastSeen = time.Now()
 	c.mu.Unlock()
 
-	var req sched.SubmitRequest
-	for i := 1; i <= 64 && req.Experiment == ""; i++ {
-		probe := sched.SubmitRequest{Experiment: "fig7", Threads: i}
-		if node, local := c.route(probe.StoreKey(), false); !local && node == "n2" {
-			req = probe
-		}
-	}
-	if req.Experiment == "" {
-		t.Fatal("no probe spec was placed on n2")
-	}
+	req := routedTo(t, c, "n2")
 	st, _, err := c.Submit("t", req)
 	if err != nil || st.Node != "n1" {
 		t.Fatalf("Submit with an unreachable owner = (%+v, %v), want a local admission", st, err)

@@ -95,11 +95,37 @@ func (t *Tier) Contains(key, version string) bool {
 }
 
 // Get serves key from memory when the cached entry matches version;
-// otherwise it reads through to disk and, on success, caches the result.
-// The returned body is shared with the cache: callers must not mutate it
-// (the scheduler only decodes and streams it, which is why the tier can
-// avoid a copy on the hot path).
+// otherwise it reads through to disk and, on success, caches the result,
+// and on a disk miss it asks the peers (see SetPeerFetch). The returned
+// body is shared with the cache: callers must not mutate it (the
+// scheduler only decodes and streams it, which is why the tier can avoid
+// a copy on the hot path).
 func (t *Tier) Get(key, version string) ([]byte, store.Meta, bool) {
+	body, meta, ok := t.GetLocal(key, version)
+	if ok {
+		return body, meta, true
+	}
+	// Disk miss: a peer may already hold this digest. The hook returns
+	// only verified bytes; replicate to disk first (the durability rule —
+	// memory never holds what the local disk could lose) and admit to the
+	// LRU only once the disk copy landed. A failed local write still
+	// serves the verified peer bytes: the authoritative copy lives on the
+	// peer's disk.
+	if f, _ := t.peers.Load().(PeerFetch); f != nil {
+		if pbody, pmeta, pok := f(key, version); pok {
+			if err := t.disk.Put(key, pbody, pmeta); err == nil {
+				t.admit(key, pbody, pmeta)
+			}
+			return pbody, pmeta, true
+		}
+	}
+	return nil, meta, false
+}
+
+// GetLocal is Get without the peer read-through: memory, then this
+// node's disk. A caller that retries a read asks the peers once, not on
+// every try.
+func (t *Tier) GetLocal(key, version string) ([]byte, store.Meta, bool) {
 	if t.maxBytes > 0 {
 		t.mu.Lock()
 		if el, ok := t.items[key]; ok {
@@ -120,23 +146,8 @@ func (t *Tier) Get(key, version string) ([]byte, store.Meta, bool) {
 	body, meta, ok := t.disk.Get(key, version)
 	if ok {
 		t.admit(key, body, meta)
-		return body, meta, true
 	}
-	// Disk miss: a peer may already hold this digest. The hook returns
-	// only verified bytes; replicate to disk first (the durability rule —
-	// memory never holds what the local disk could lose) and admit to the
-	// LRU only once the disk copy landed. A failed local write still
-	// serves the verified peer bytes: the authoritative copy lives on the
-	// peer's disk.
-	if f, _ := t.peers.Load().(PeerFetch); f != nil {
-		if pbody, pmeta, pok := f(key, version); pok {
-			if err := t.disk.Put(key, pbody, pmeta); err == nil {
-				t.admit(key, pbody, pmeta)
-			}
-			return pbody, pmeta, true
-		}
-	}
-	return nil, meta, false
+	return body, meta, ok
 }
 
 // Put writes through: disk first (the store's atomic commit protocol is

@@ -186,3 +186,11 @@ type ResultStore interface {
 	Put(key string, body []byte, meta store.Meta) error
 	Delete(key string) error
 }
+
+// localReader is a ResultStore whose Get reads through to other nodes
+// below its own disk (resultier.Tier in cluster mode); GetLocal is that
+// read without the peers. Scheduler.Get retries a failing read, and only
+// its last try may ask the peers.
+type localReader interface {
+	GetLocal(key, version string) (body []byte, meta store.Meta, ok bool)
+}

@@ -78,6 +78,7 @@ type Config struct {
 // layer drive it through the same methods.
 type Scheduler struct {
 	store    ResultStore
+	getLocal readFunc // store.Get without a peer read-through (see localReader)
 	queue    *queue
 	journal  *Journal
 	faults   *faultline.Injector
@@ -130,6 +131,7 @@ func New(cfg Config) (*Scheduler, error) {
 
 	s := &Scheduler{
 		store:    cfg.Store,
+		getLocal: cfg.Store.Get,
 		journal:  jn,
 		faults:   cfg.Faults,
 		hooks:    cfg.Hooks,
@@ -138,6 +140,9 @@ func New(cfg Config) (*Scheduler, error) {
 		deadline: cfg.DefaultDeadline,
 		log:      cfg.Log,
 		metrics:  cfg.Metrics,
+	}
+	if lr, ok := cfg.Store.(localReader); ok {
+		s.getLocal = lr.GetLocal
 	}
 	// Register the robustness counters at zero so /metrics shows the full
 	// vocabulary from boot, not only after the first fault.
@@ -292,7 +297,7 @@ func (s *Scheduler) Submit(req SubmitRequest) (*Job, error) {
 	}
 	key := req.StoreKey()
 	if !req.Force {
-		if view, ok := s.storeView(key); ok {
+		if view, ok := s.storeView(key, s.store.Get); ok {
 			s.metrics.Counter("store.hits").Inc()
 			return view, nil
 		}
@@ -343,7 +348,8 @@ func (s *Scheduler) RunNext() bool { return s.queue.RunNext() }
 // on a read). The key must pass the store's validation before any disk is
 // touched. A read can fail transiently (the store reports an I/O error as
 // a miss), so an entry is declared gone only after three tries, as
-// persist retries a write.
+// persist retries a write. Only the last try may read through to the
+// peers, so an ID whose entry is gone costs each peer one request.
 func (s *Scheduler) Get(id string) (*Job, bool) {
 	if j, ok := s.queue.Get(id); ok {
 		return j, true
@@ -353,7 +359,11 @@ func (s *Scheduler) Get(id string) (*Job, bool) {
 		return nil, false
 	}
 	for try := 0; try < 3; try++ {
-		if j, ok := s.storeView(key); ok {
+		read := s.getLocal
+		if try == 2 {
+			read = s.store.Get
+		}
+		if j, ok := s.storeView(key, read); ok {
 			return j, true
 		}
 	}
@@ -608,7 +618,7 @@ func runSafely(work func() error) (err error) {
 // is stored, and reports whether it did — the worker's recheck, for a job
 // that queued while another computed the same key.
 func (s *Scheduler) serveFromStore(j *Job, key string) bool {
-	bundle, meta, ok := s.stored(key)
+	bundle, meta, ok := s.stored(key, s.store.Get)
 	if !ok {
 		return false
 	}
@@ -621,13 +631,14 @@ func (s *Scheduler) serveFromStore(j *Job, key string) bool {
 	return true
 }
 
-// storeView returns the settled job that stands for key's store entry: a
-// pure function of the entry, so Submit's answer and every later Get of
-// the same ID agree. Its spec is the job the entry records (store.Meta.Job);
-// an entry whose record does not digest to key cannot stand for it and
-// reads as a miss, so a submission recomputes and rewrites it.
-func (s *Scheduler) storeView(key string) (*Job, bool) {
-	bundle, meta, ok := s.stored(key)
+// storeView returns the settled job that stands for key's store entry,
+// read with read: a pure function of the entry, so Submit's answer and
+// every later Get of the same ID agree. Its spec is the job the entry
+// records (store.Meta.Job); an entry whose record does not digest to key
+// cannot stand for it and reads as a miss, so a submission recomputes and
+// rewrites it.
+func (s *Scheduler) storeView(key string, read readFunc) (*Job, bool) {
+	bundle, meta, ok := s.stored(key, read)
 	var spec bench.Job
 	if !ok || json.Unmarshal(meta.Job, &spec) != nil || spec.Digest() != key {
 		return nil, false
@@ -654,11 +665,14 @@ var settledDone = func() chan struct{} {
 	return c
 }()
 
-// stored reads key's result bundle from the tier. A stored bundle that
-// fails to decode is treated as corruption (deleted, so the caller
-// recomputes), mirroring the store's own checks.
-func (s *Scheduler) stored(key string) (*ResultBundle, store.Meta, bool) {
-	body, meta, ok := s.store.Get(key, bench.SimVersion)
+// readFunc reads the result tier: ResultStore.Get, or getLocal.
+type readFunc func(key, version string) ([]byte, store.Meta, bool)
+
+// stored reads key's result bundle from the tier with read. A stored
+// bundle that fails to decode is treated as corruption (deleted, so the
+// caller recomputes), mirroring the store's own checks.
+func (s *Scheduler) stored(key string, read readFunc) (*ResultBundle, store.Meta, bool) {
+	body, meta, ok := read(key, bench.SimVersion)
 	if !ok {
 		return nil, meta, false
 	}

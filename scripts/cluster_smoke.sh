@@ -10,8 +10,11 @@
 #   2. exactly one survivor adopts the journaled job (exactly-once),
 #   3. the recovered figure is byte-identical to a direct sgxbench run,
 #   4. a resubmission through the *other* survivor serves from the store
-#      (peer-fetch read-through) with the same bytes,
-#   5. the cluster counters are exported under their contract names.
+#      (peer-fetch read-through, or the owner's store through a forward)
+#      with the same bytes,
+#   5. a second resubmission there is that survivor's own store hit: it
+#      kept a verified copy, so nothing is forwarded,
+#   6. the cluster counters are exported under their contract names.
 #
 # Needs: go, curl. No jq — the JSON poking is deliberate grep so the
 # script runs anywhere CI does.
@@ -156,6 +159,23 @@ id2=$("$WORK/sgxctl" -addr "${URL[$other]}" submit fig1)
 "$WORK/sgxctl" -addr "${URL[$other]}" wait "$id2" | grep "from store"
 "$WORK/sgxctl" -addr "${URL[$other]}" result "$id2" | diff - "$WORK/direct.txt"
 echo "== resubmission via $other served from store, same bytes"
+
+# That resubmission left a verified copy in $other's store, so the next
+# one is a local store hit under $other's own prefix: no forward.
+forwarded() { curl -fsS "${URL[$other]}/metrics" | grep -E '^sgxd_cluster_forwarded_total ' | cut -d' ' -f2; }
+fwd_before=$(forwarded)
+id3=$("$WORK/sgxctl" -addr "${URL[$other]}" submit fig1)
+fwd_after=$(forwarded)
+case "$id3" in
+"$other"-k*) ;;
+*) echo "second resubmission via $other answered $id3, want a local store hit $other-k…" >&2; exit 1 ;;
+esac
+[ -n "$fwd_before" ] && [ "$fwd_before" = "$fwd_after" ] || {
+	echo "sgxd_cluster_forwarded_total on $other moved from '$fwd_before' to '$fwd_after'" >&2
+	exit 1
+}
+"$WORK/sgxctl" -addr "${URL[$other]}" result "$id3" | diff - "$WORK/direct.txt"
+echo "== second resubmission via $other is its own store hit ($id3), no forward, same bytes"
 
 # The cluster counters are exported under their contract names.
 for n in "${survivors[@]}"; do
