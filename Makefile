@@ -72,10 +72,11 @@ cluster-smoke:
 	bash ./scripts/cluster_smoke.sh
 
 # Self-healing membership gate: a 2-node fleet under sgxload traffic gains
-# a third node via -join (epoch convergence + result re-replication onto
-# the newcomer), then loses it again via a graceful `sgxctl cluster leave`
-# (queue handoff + store evacuation), with zero 5xx throughout. Same gate
-# the CI membership-smoke job runs.
+# a third node via -join (epoch convergence; the newcomer serves every
+# seeded spec from store by peer fetch), then loses it again via a graceful
+# `sgxctl cluster leave` (queue handoff + store evacuation: the results only
+# the newcomer computed serve from store afterwards), with zero 5xx
+# throughout. Same gate the CI membership-smoke job runs.
 membership-smoke:
 	bash ./scripts/membership_smoke.sh
 

@@ -21,8 +21,9 @@
 // its journaled jobs re-enqueued on survivors exactly once. From there
 // membership is dynamic: -join URL starts this node as a fleet of one and
 // announces it to a running node (epoch-versioned views gossip on the
-// heartbeats; results it now owns re-replicate to it), and `sgxctl
-// cluster leave` drains and departs a node without restarting anything.
+// heartbeats; it peer-fetches the results it now owns on first read), and
+// `sgxctl cluster leave` drains a node, pushes its stored results to their
+// owners and departs, without restarting anything.
 // See internal/cluster and "Running a cluster" in the README.
 //
 // API (see internal/serve):
@@ -47,7 +48,7 @@
 //	GET    /api/v1/cluster/results/{key}  verified result for a peer
 //	POST   /api/v1/cluster/join        admit a joiner, or {"seed": url} to join
 //	POST   /api/v1/cluster/leave       graceful departure
-//	POST   /api/v1/cluster/replicate   re-replicated result from a peer
+//	POST   /api/v1/cluster/replicate   result evacuated by a leaving peer
 //
 // A forwarded submission is an ordinary POST /api/v1/jobs marked with
 // X-Sgxd-Forwarded. A single-node daemon answers /api/v1/cluster/ with 404.

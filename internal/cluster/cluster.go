@@ -14,12 +14,12 @@
 //     epoch wins; epoch ties break on the view digest, so concurrent
 //     changes converge without coordination.
 //     Nodes join a running fleet (POST /api/v1/cluster/join) and leave it
-//     gracefully (ring-excluded drain, queue handoff, then departure)
-//     without any restarts. A node silent past the dead-after window is
-//     dead. This is the one liveness signal: a peer leaves the ring, the
-//     fetch candidates and the re-replication targets only when heartbeats
-//     declare it dead, and a failed call to a live peer costs that call
-//     alone.
+//     gracefully (ring-excluded drain, queue handoff, evacuation, then
+//     departure) without any restarts. A node silent past the dead-after
+//     window is dead. This is the one liveness signal: a peer leaves the
+//     ring, the fetch candidates and the evacuation targets only when
+//     heartbeats declare it dead, and a failed call to a live peer costs
+//     that call alone.
 //   - Placement: job digests consistent-hash onto live nodes (bounded-load
 //     variant — a node whose queue exceeds its fair share spills to the
 //     next ring node, so hot shards spread). Submit is the one path every
@@ -42,10 +42,13 @@
 //     its own store, so repeat hits are served where they land instead of
 //     crossing nodes. A node's store thus holds every result it has
 //     answered.
-//   - Re-replication: on every epoch change each node scans its store
-//     manifest and pushes verified copies of results it no longer owns to
-//     the new owner (rate-limited, resumable; see rebalance.go), so a
-//     later owner-local read is a disk hit instead of a cross-node fetch.
+//   - Evacuation: while a node stays in the fleet, results cross nodes only
+//     by the verified pull above; an epoch change moves no result. The one
+//     push is a leaving node's: once its last job settles, Leave walks its
+//     store manifest once and pushes each result to its owner, one request
+//     at a time, before departing, so a graceful leave loses no result. A
+//     key a join moves gets no eager copy at its new owner; the owner's
+//     first read of it is a peer fetch.
 //   - Recovery and handoff: when a node dies, exactly one survivor (its
 //     successor among the living) re-enqueues the dead node's piggybacked
 //     unsettled jobs, at most once per job per boot incarnation; a leaving
@@ -56,7 +59,7 @@
 //
 // Fault sites (internal/faultline): "cluster.peer.fetch" fails the peer
 // read-through, bitflip on "cluster.peer.body" corrupts received result
-// bytes, and "cluster.peer.replicate" fails the push of one re-replicated
+// bytes, and "cluster.peer.replicate" fails the push of one evacuated
 // result.
 package cluster
 
@@ -94,8 +97,9 @@ type Local interface {
 	// quotas, coalescing); coalesced reports that the job is shared with
 	// an identical in-flight submission.
 	Admit(tenant string, req sched.SubmitRequest) (st sched.JobStatus, coalesced bool, err error)
-	// Depth reports the scheduler backlog occupancy.
-	Depth() (queued, capacity int)
+	// Depth reports the scheduler backlog length: the jobs queued for a
+	// worker, which heartbeats carry for bounded-load placement.
+	Depth() int
 	// Unsettled lists queued/running jobs — the journal-replayable set a
 	// heartbeat piggybacks for dead-node recovery.
 	Unsettled(max int) []sched.PendingJob
@@ -118,8 +122,9 @@ type Config struct {
 	Self  string // this node's ID; must appear in Nodes
 	Nodes []Node // boot membership, including Self (may be Self alone before a join)
 
-	// Heartbeat is the beat interval (default 1s); liveness, recovery
-	// checks, and re-replication all run on its ticker.
+	// Heartbeat is the beat interval (default 1s); liveness and recovery
+	// checks run on its ticker, and a leave waits one interval between
+	// polls for its last job and between retries of a failed push.
 	Heartbeat time.Duration
 	// DeadAfter is how many missed beat intervals declare a peer dead
 	// (default 3).
@@ -128,7 +133,8 @@ type Config struct {
 	Local Local
 	// Store is the node's raw disk tier, never the read-through above it:
 	// peers are served from it (so two nodes missing a digest cannot chase
-	// each other), pushed results land in it, and re-replication scans it.
+	// each other), kept replicas and pushed results land in it, and a
+	// leaving node's evacuation walks it.
 	Store   *store.Store
 	Metrics *telemetry.Registry
 	Faults  *faultline.Injector
@@ -159,7 +165,8 @@ type Cluster struct {
 
 	// peer_fetches and rereplicated sit at the registry top level so the
 	// exposition names are exactly sgxd_peer_fetches_total and
-	// sgxd_rereplicated_total; the rest live under cluster.*.
+	// sgxd_rereplicated_total (results an evacuation pushed and its
+	// receiver stored); the rest live under cluster.*.
 	peerFetches, rereplicated, peerCorrupt      *telemetry.Counter
 	beatsSent, beatsRecv, deaths, jobsRecovered *telemetry.Counter
 	forwarded, forwardFallback, epochChanges    *telemetry.Counter
@@ -170,7 +177,6 @@ type Cluster struct {
 	ring     *ring
 	peers    map[string]*peerState
 	adopted  map[string]bool // "deadID@nonce/jobID" → re-enqueued
-	rebal    *rebalanceScan  // in-progress re-replication scan (nil = idle)
 	leaving  bool            // ring-excluded drain in progress
 	departed bool            // graceful leave completed
 
@@ -271,7 +277,7 @@ func (c *Cluster) Departed() bool {
 	return c.departed
 }
 
-// Start launches the heartbeat/recovery/re-replication loop. Every peer
+// Start launches the heartbeat and recovery loop. Every peer
 // gets a full dead-after grace window from this instant, so a cluster
 // booting node by node does not declare the stragglers dead on tick one.
 func (c *Cluster) Start() {
@@ -312,7 +318,6 @@ func (c *Cluster) loop() {
 		case <-t.C:
 			c.beatOnce()
 			c.reapAndRecover()
-			c.rebalanceOnce()
 		}
 	}
 }
@@ -320,7 +325,7 @@ func (c *Cluster) loop() {
 // selfBeat snapshots this node's wire-visible state, membership view
 // included — the view is how epochs gossip.
 func (c *Cluster) selfBeat() Beat {
-	queued, _ := c.local.Depth()
+	queued := c.local.Depth()
 	c.mu.Lock()
 	view := c.view.clone()
 	c.mu.Unlock()
@@ -401,9 +406,8 @@ func (c *Cluster) mergeViewLocked(remote View) {
 }
 
 // installViewLocked adopts a new membership view atomically: the ring is
-// rebuilt for the epoch, the peer table gains new members (with a full
-// liveness grace window) and drops departed ones, and a re-replication
-// scan is scheduled. (Caller holds c.mu.)
+// rebuilt for the epoch, and the peer table gains new members (with a full
+// liveness grace window) and drops departed ones. (Caller holds c.mu.)
 func (c *Cluster) installViewLocked(v View) {
 	old := c.view.Epoch
 	c.view = v
@@ -427,7 +431,6 @@ func (c *Cluster) installViewLocked(v View) {
 		}
 	}
 	c.epochChanges.Inc()
-	c.rebal = &rebalanceScan{}
 	c.log.Printf("cluster: membership epoch %d installed (%d members, was epoch %d)", v.Epoch, len(v.Members), old)
 }
 
@@ -486,12 +489,12 @@ func (c *Cluster) admitJoin(n Node, joinerEpoch uint64) (View, error) {
 	return c.view.clone(), nil
 }
 
-// Leave gracefully exits the fleet: gossip a ring-excluded (leaving)
-// epoch, close local admission, hand still-queued jobs to their new
-// owners, wait for running work and the re-replication scan to settle,
-// then gossip a final epoch without this node and stop the loop. The
-// process stays up afterwards — drained, serving reads — until the
-// operator stops it.
+// Leave gracefully exits the fleet, in one straight line: gossip a
+// ring-excluded (leaving) epoch, close local admission, hand still-queued
+// jobs to their new owners, wait until no local job is unsettled, push
+// every stored result to its owner (evacuate), then gossip a final epoch
+// without this node and stop the loop. The process stays up afterwards —
+// drained, serving reads — until the operator stops it.
 func (c *Cluster) Leave(ctx context.Context) error {
 	c.mu.Lock()
 	if c.leaving || c.departed {
@@ -519,47 +522,105 @@ func (c *Cluster) Leave(ctx context.Context) error {
 		c.log.Printf("cluster: handed off queued job %s to %s as %s", pj.ID, st.Node, st.ID)
 	}
 
-	// Wait for running work to settle and the re-replication scan (our
-	// whole manifest, now that we own nothing) to finish pushing.
-	settle := func() error {
-		t := time.NewTicker(c.interval)
-		defer t.Stop()
-		for {
-			if !c.Rebalancing() && len(c.local.Unsettled(1)) == 0 {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("cluster: leave interrupted: %w", ctx.Err())
-			case <-c.stop:
-				return errors.New("cluster: stopped mid-leave")
-			case <-t.C:
-			}
+	// A job persists its result before it turns terminal, and admission is
+	// closed and the ring excludes us, so once nothing is unsettled the
+	// store holds every result this node will ever compute.
+	for len(c.local.Unsettled(1)) > 0 {
+		if err := c.waitBeat(ctx); err != nil {
+			return err
 		}
 	}
-	if err := settle(); err != nil {
-		return err
-	}
-	// A job still running at the snapshot settles its result *after* the
-	// evacuation scan read the manifest — gone with us unless pushed now.
-	// The queue is drained and the ring excludes us, so nothing new can
-	// land: one fresh full-manifest pass covers every late settler.
-	c.mu.Lock()
-	c.rebal = &rebalanceScan{}
-	c.mu.Unlock()
-	if err := settle(); err != nil {
+	if err := c.evacuate(ctx); err != nil {
 		return err
 	}
 
 	c.mu.Lock()
 	c.departed = true
 	c.installViewLocked(c.view.without(c.self.ID))
-	c.rebal = nil // departure owes the fleet nothing further
 	c.mu.Unlock()
 	c.beatOnce() // final gossip: the fleet drops us this epoch
 	c.log.Printf("cluster: departed the fleet")
 	c.Stop()
 	return nil
+}
+
+// pushAttempts bounds the pushes of one result during an evacuation;
+// after that many failures the key is skipped.
+const pushAttempts = 3
+
+// evacuate is a leaving node's one pass over its store: each result goes
+// to its owner in the ring that already excludes this node, one push at a
+// time, so a single request in flight bounds the load. The push is the
+// peer-fetch envelope in reverse, re-verified by the receiver, which
+// stores only what it lacks. A failed push is retried a heartbeat later,
+// at most pushAttempts times in all, and the key is then skipped, so an
+// owner that answers heartbeats but refuses pushes cannot stall the leave.
+func (c *Cluster) evacuate(ctx context.Context) error {
+	keys := c.manifest()
+	skipped := 0
+	for _, key := range keys {
+		err := c.evacuateKey(key)
+		for attempt := 1; err != nil && attempt < pushAttempts; attempt++ {
+			if werr := c.waitBeat(ctx); werr != nil {
+				return werr
+			}
+			err = c.evacuateKey(key)
+		}
+		if err != nil {
+			skipped++
+			c.log.Printf("cluster: evacuation of %.12s… failed %d times: %v; skipping it", key, pushAttempts, err)
+		}
+	}
+	c.log.Printf("cluster: evacuated %d stored results (%d skipped)", len(keys)-skipped, skipped)
+	return nil
+}
+
+// evacuateKey pushes one stored result to its owner, counting it when the
+// owner stored it. A key with no live owner, or no longer in the store, is
+// skipped without a push.
+func (c *Cluster) evacuateKey(key string) error {
+	peer, ok := c.nodeByID(c.ownerOf(key))
+	if !ok {
+		return nil
+	}
+	body, meta, ok := c.store.Get(key, bench.SimVersion)
+	if !ok {
+		return nil
+	}
+	stored, err := c.pushResult(peer, ResultEnvelope{Meta: meta, Body: body})
+	if stored {
+		c.rereplicated.Inc()
+	}
+	return err
+}
+
+// manifest lists, in key order, the stored keys for the running simulator
+// version — the results an evacuation pushes.
+func (c *Cluster) manifest() []string {
+	keys, err := c.store.Keys()
+	if err != nil {
+		return nil
+	}
+	current := keys[:0]
+	for _, key := range keys {
+		if meta, ok := c.store.Stat(key); ok && meta.Version == bench.SimVersion {
+			current = append(current, key)
+		}
+	}
+	return current
+}
+
+// waitBeat waits one heartbeat interval, or reports why a leave must stop
+// early: its context ended or the cluster was stopped.
+func (c *Cluster) waitBeat(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return fmt.Errorf("cluster: leave interrupted: %w", ctx.Err())
+	case <-c.stop:
+		return errors.New("cluster: stopped mid-leave")
+	case <-time.After(c.interval):
+		return nil
+	}
 }
 
 // reapAndRecover declares silent peers dead and, when this node is the
@@ -686,7 +747,7 @@ func (c *Cluster) route(key string, force bool) (node string, local bool) {
 
 // ownerOf runs the bounded-load placement over the currently-live view.
 func (c *Cluster) ownerOf(key string) string {
-	queued, _ := c.local.Depth()
+	queued := c.local.Depth()
 	c.mu.Lock()
 	ring := c.ring
 	alive := map[string]bool{c.self.ID: true}
@@ -852,7 +913,7 @@ type Status struct {
 
 // statusReport snapshots this node's view of the membership, sorted by ID.
 func (c *Cluster) statusReport() Status {
-	queued, _ := c.local.Depth()
+	queued := c.local.Depth()
 	c.mu.Lock()
 	st := Status{
 		Self:     c.self.ID,

@@ -77,13 +77,35 @@ func waitTerminal(t *testing.T, base, id string, timeout time.Duration) serve.Jo
 	}
 }
 
-// TestJoinRereplicatesAndServes drives dynamic membership end to end: a
+// waitBeats blocks until every node has sent at least n more heartbeats
+// than when it was called. Each beat round runs in the loop's tick, so n
+// beats per peer are n ticks of everything the loop does.
+func waitBeats(t *testing.T, nodes []*testNode, n int) {
+	t.Helper()
+	const name = "sgxd_cluster_heartbeats_sent_total"
+	start := make([]float64, len(nodes))
+	for i, node := range nodes {
+		start[i] = metricValue(metricsText(t, node.url), name)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i, node := range nodes {
+		for metricValue(metricsText(t, node.url), name) < start[i]+float64(n) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s sent fewer than %d heartbeats in 10s", node.id, n)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// TestJoinServesThroughPeerFetch drives dynamic membership end to end: a
 // 2-node fleet computes a working set, a third node joins through the
-// seed's join endpoint, every node converges on a bumped epoch with three
-// live members, the old owners push the keys the newcomer now owns
-// (sgxd_rereplicated_total), and reads through the newcomer are
+// seed's join endpoint, and every node converges on a bumped epoch with
+// three live members. The epoch change pushes nothing, not even after
+// several heartbeat rounds: no node's sgxd_rereplicated_total moves. Reads
+// through the newcomer pull what they need by peer fetch and are
 // byte-identical without a single recompute.
-func TestJoinRereplicatesAndServes(t *testing.T) {
+func TestJoinServesThroughPeerFetch(t *testing.T) {
 	nodes := startCluster(t, 2, nil)
 	specs := distinctSpecs(18)
 	for _, req := range specs {
@@ -101,19 +123,12 @@ func TestJoinRereplicatesAndServes(t *testing.T) {
 			t.Fatalf("%s epoch = %d after join, want > %d", n.id, e, epoch0)
 		}
 	}
-
-	// Rebalance: with 18 distinct keys and a third of the ring now owned
-	// by n3, the old owners must push at least one verified copy.
-	deadline := time.Now().Add(10 * time.Second)
-	for sumMetric(t, nodes, "sgxd_rereplicated_total") < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("no result was re-replicated to the joined node")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// Four beats to each of two peers: four ticks of the old owners' loops
+	// under the new epoch, in which a push armed by the join would have run.
+	waitBeats(t, nodes, 8)
 
 	// Every pre-join result is served through the newcomer from the fleet
-	// store — pushed copy or peer read-through, never a recompute.
+	// store by peer fetch, never a recompute.
 	for _, req := range specs {
 		st := submitVia(t, joiner.url, req)
 		done := waitDone(t, joiner.url, st.ID)
@@ -125,15 +140,21 @@ func TestJoinRereplicatesAndServes(t *testing.T) {
 			t.Fatalf("via joiner: %q, want %q", got, want)
 		}
 	}
+	if got := sumMetric(t, all, "sgxd_rereplicated_total"); got != 0 {
+		t.Fatalf("sgxd_rereplicated_total = %v across the fleet after a join, want 0: an epoch change pushed results", got)
+	}
+	if got := metricValue(metricsText(t, joiner.url), "sgxd_peer_fetches_total"); got == 0 {
+		t.Fatal("the joiner served the working set without a peer fetch")
+	}
 	if got := joiner.computes.Load(); got != 0 {
 		t.Fatalf("joiner computed %d times, want 0 (everything was already in the fleet store)", got)
 	}
 }
 
 // TestGracefulLeaveEvacuatesResults pins the leave protocol: a departing
-// node hands off its queue, drains its rebalance scan (pushing every
-// result it holds to the ring that no longer includes it), and only then
-// departs. After the node is gone — process stopped, store unreachable —
+// node hands off its queue, waits for its running job, pushes every result
+// it holds to its owner in the ring that no longer includes it, and only
+// then departs. After the node is gone — process stopped, store unreachable —
 // every spec the fleet ever computed still resolves from the survivors'
 // stores without recomputation.
 func TestGracefulLeaveEvacuatesResults(t *testing.T) {

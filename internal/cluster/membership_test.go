@@ -15,7 +15,7 @@ type nopLocal struct{}
 func (nopLocal) Admit(string, sched.SubmitRequest) (sched.JobStatus, bool, error) {
 	return sched.JobStatus{}, false, nil
 }
-func (nopLocal) Depth() (int, int)                { return 0, 64 }
+func (nopLocal) Depth() int                       { return 0 }
 func (nopLocal) Unsettled(int) []sched.PendingJob { return nil }
 func (nopLocal) Queued(int) []sched.PendingJob    { return nil }
 func (nopLocal) HasLocal(string) bool             { return false }

@@ -98,8 +98,8 @@ type ResultEnvelope struct {
 }
 
 // Verify re-checks an envelope against its own metadata: receiver-side
-// trust boundary for pushed (re-replicated) results, mirroring what
-// fetchFrom enforces for pulled ones.
+// trust boundary for pushed (evacuated) results, mirroring what fetchFrom
+// enforces for pulled ones.
 func (e ResultEnvelope) Verify() bool {
 	return verifyEnvelope(e.Meta.Key, e.Meta.Version, e.Body, e.Meta)
 }
@@ -201,9 +201,9 @@ func (c *Cluster) serveJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveLeave starts a graceful departure: ring-excluded drain, queue
-// handoff, final epoch without this node. The drain runs in the background
-// (it can take as long as the running jobs do); the operator polls
-// /api/v1/cluster/status until departed.
+// handoff, evacuation, final epoch without this node. The drain runs in
+// the background (it can take as long as the running jobs do); the
+// operator polls /api/v1/cluster/status until departed.
 func (c *Cluster) serveLeave(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
@@ -215,11 +215,11 @@ func (c *Cluster) serveLeave(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]string{"status": "leaving"})
 }
 
-// serveReplicate is the receiving side of epoch-change re-replication: a
-// peer pushes a result this node now owns. The envelope is re-verified
-// against its own metadata and pinned to the running simulator version
-// before anything touches disk; a result already held acks stored=false so
-// the pusher's resumable scan completes without re-transferring.
+// serveReplicate is the receiving side of an evacuation: a leaving peer
+// pushes a result this node owns in the ring without it. The envelope is
+// re-verified against its own metadata and pinned to the running simulator
+// version before anything touches disk; a result already held acks
+// stored=false and is not written again.
 func (c *Cluster) serveReplicate(w http.ResponseWriter, r *http.Request) {
 	var env ResultEnvelope
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxResultBody)).Decode(&env); err != nil {
@@ -317,10 +317,10 @@ func (c *Cluster) postJoin(seed string, n Node, epoch uint64) (View, error) {
 	return v, nil
 }
 
-// pushResult pushes one verified result envelope to its new owner's
-// replicate endpoint (the peer-fetch body path in reverse). stored
-// reports whether the receiver wrote it — false means it already held the
-// result, which still completes the transfer.
+// pushResult pushes one verified result envelope to its owner's replicate
+// endpoint (the peer-fetch body path in reverse). stored reports whether
+// the receiver wrote it — false means it already held the result, which
+// still completes the transfer.
 func (c *Cluster) pushResult(peer Node, env ResultEnvelope) (stored bool, err error) {
 	if ferr := c.faults.Fire("cluster.peer.replicate", env.Meta.Key); ferr != nil {
 		return false, ferr

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -71,18 +72,6 @@ func putResult(t *testing.T, st *store.Store, key string, body []byte) ResultEnv
 		t.Fatalf("stored %s does not read back", key)
 	}
 	return ResultEnvelope{Meta: meta, Body: body}
-}
-
-// ownedBy returns a store key that c's ring places on node.
-func ownedBy(t *testing.T, c *Cluster, node string) string {
-	t.Helper()
-	for i := 0; i < 64; i++ {
-		if key := testKey(fmt.Sprint("key-", i)); c.ownerOf(key) == node {
-			return key
-		}
-	}
-	t.Fatalf("no probe key hashed to %s", node)
-	return ""
 }
 
 // routedTo returns a submission that c forwards to node.
@@ -190,9 +179,9 @@ func TestPeerWireRoundTrips(t *testing.T) {
 	})
 }
 
-// TestRereplicationPushBound pins the push retry bound: a key whose push
-// fails is retried on the next tick, at most pushAttempts times in a row,
-// and then skipped so the scan completes.
+// TestRereplicationPushBound pins the evacuation's push bound: a leaving
+// node retries a failed push a heartbeat later, at most pushAttempts times
+// in all, and then skips the key, so the pass returns either way.
 func TestRereplicationPushBound(t *testing.T) {
 	for _, tc := range []struct {
 		failures int
@@ -206,27 +195,25 @@ func TestRereplicationPushBound(t *testing.T) {
 				Op: "cluster.peer.replicate", Kind: faultline.KindError, Times: tc.failures,
 			}}})
 			w := newWirePair(t, inj)
-			key := ownedBy(t, w.cli, "n2")
-			putResult(t, w.cli.store, key, []byte("rebalanced bytes\n"))
+			key := testKey("evacuated")
+			putResult(t, w.cli.store, key, []byte("evacuated bytes\n"))
+			w.cli.interval = time.Millisecond
 			w.cli.mu.Lock()
-			w.cli.rebal = &rebalanceScan{}
+			w.cli.leaving = true // the ring excludes n1, so n2 owns every key
 			w.cli.mu.Unlock()
 
-			for tick := 1; tick < pushAttempts; tick++ {
-				w.cli.rebalanceOnce()
-				if !w.cli.Rebalancing() {
-					t.Fatalf("tick %d: scan finished with the push still failing", tick)
-				}
-				if _, ok := w.srv.store.Stat(key); ok {
-					t.Fatalf("tick %d: owner holds the key through an injected push failure", tick)
-				}
-			}
-			w.cli.rebalanceOnce()
-			if w.cli.Rebalancing() {
-				t.Fatalf("tick %d: scan still running", pushAttempts)
+			if err := w.cli.evacuate(context.Background()); err != nil {
+				t.Fatalf("evacuate = %v", err)
 			}
 			if _, ok := w.srv.store.Stat(key); ok != tc.pushed {
-				t.Fatalf("after tick %d the owner holds the key = %v, want %v", pushAttempts, ok, tc.pushed)
+				t.Fatalf("after %d injected failures the owner holds the key = %v, want %v", tc.failures, ok, tc.pushed)
+			}
+			want := uint64(0)
+			if tc.pushed {
+				want = 1
+			}
+			if got := w.cli.rereplicated.Value(); got != want {
+				t.Fatalf("sgxd_rereplicated_total = %d, want %d", got, want)
 			}
 		})
 	}

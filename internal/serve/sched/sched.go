@@ -229,11 +229,9 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 // once Shutdown has begun).
 func (s *Scheduler) Accepting() bool { return s.queue.Accepting() }
 
-// Depth reports the backlog occupancy and capacity — the front door's
-// backpressure probe.
-func (s *Scheduler) Depth() (queued, capacity int) {
-	return len(s.queue.backlog), cap(s.queue.backlog)
-}
+// Depth reports the backlog length: the jobs queued for a worker. Cluster
+// heartbeats carry it for bounded-load placement and `cluster status`.
+func (s *Scheduler) Depth() int { return len(s.queue.backlog) }
 
 // Unsettled returns up to max non-terminal jobs (queued or running), in
 // submission order — exactly the set a journal replay would resurrect if

@@ -339,7 +339,7 @@ func (l clusterLocal) Admit(tenant string, req SubmitRequest) (JobStatus, bool, 
 	return l.s.statusOf(j), coalesced, nil
 }
 
-func (l clusterLocal) Depth() (int, int)                    { return l.s.sched.Depth() }
+func (l clusterLocal) Depth() int                           { return l.s.sched.Depth() }
 func (l clusterLocal) Unsettled(max int) []sched.PendingJob { return l.s.sched.Unsettled(max) }
 func (l clusterLocal) Queued(max int) []sched.PendingJob    { return l.s.sched.Queued(max) }
 func (l clusterLocal) Cancel(id string) bool                { return l.s.sched.Cancel(id) }

@@ -7,11 +7,13 @@
 # `-join`, and requires:
 #
 #   1. all three nodes converge on one bumped membership epoch,
-#   2. the old owners push results to the newcomer (sgxd_rereplicated_total > 0),
+#   2. every seeded spec submitted through the newcomer answers "from store"
+#      (an epoch change pushes nothing; the newcomer pulls by peer fetch),
 #   3. a graceful `sgxctl cluster leave` drains the newcomer back out and the
 #      survivors converge on a 2-member view with no dead or leaving rows,
-#   4. the departed node's results still serve from the survivors' stores
-#      ("from store", no recompute),
+#   4. the results only the departed node computed (fresh specs submitted
+#      through it before the leave) serve "from store" through n1, and its
+#      sgxd_rereplicated_total counts at least that many evacuated results,
 #   5. the load run finishes with zero 5xx (churn may retry, never error).
 #
 # Needs: go, curl. No jq — same deliberate grep-level JSON poking as
@@ -72,9 +74,9 @@ echo "== 2 nodes ready"
 
 # Seed a working set of cheap distinct grid cells so the joiner has
 # something to inherit. The digests (and so ring placement) are fully
-# deterministic; this particular population provably hands n3 a share of
-# the keys once it joins — histogram cells, for example, happen to hash
-# entirely onto n1/n2 on the 3-node ring and would never re-replicate.
+# deterministic; this particular population hands n3 a share of the keys
+# once it joins, so some of its reads below are reads of keys it owns but
+# does not hold.
 submit_grid() { # submit_grid <base> <workload> <threads> -> job id
 	curl -fsS -XPOST "$1/api/v1/jobs" -d \
 		"{\"experiment\":\"grid\",\"workloads\":[\"$2\"],\"policies\":[\"sgxbounds\"],\"size\":\"XS\",\"threads\":$3}" |
@@ -128,22 +130,28 @@ epoch=$("$WORK/sgxctl" -addr "${URL[n1]}" cluster status | awk 'NR==1 {print $2}
 [ "$epoch" -ge 2 ] || { echo "epoch $epoch after join, want >= 2" >&2; exit 1; }
 echo "== n3 joined; 3-member view converged at epoch $epoch"
 
-# The old owners must push the newcomer's share of the working set.
-rereplicated() {
-	local sum=0 v
-	for n in n1 n2 n3; do
-		v=$(curl -fsS "${URL[$n]}/metrics" | awk '/^sgxd_rereplicated_total / {print $2}')
-		sum=$((sum + ${v:-0}))
+# The join pushed nothing: the newcomer serves the whole seeded set from
+# the fleet store, pulling what it lacks by peer fetch, never recomputing.
+for wl in wordcount matrixmul; do
+	for i in $(seq 1 8); do
+		id=$(submit_grid "${URL[n3]}" "$wl" "$i")
+		"$WORK/sgxctl" -addr "${URL[n3]}" wait "$id" | grep -q "from store" ||
+			{ echo "seeded $wl/$i recomputed through n3 after the join" >&2; exit 1; }
 	done
-	echo "$sum"
-}
-ok=""
-for _ in $(seq 1 100); do
-	[ "$(rereplicated)" -ge 1 ] && { ok=1; break; }
-	sleep 0.2
 done
-[ -n "$ok" ] || { echo "sgxd_rereplicated_total stayed 0 after the join" >&2; exit 1; }
-echo "== re-replication pushed results to the joiner (total $(rereplicated))"
+echo "== every seeded spec answers from store through n3"
+
+# Results that exist only on n3: fresh specs submitted through it, kept
+# when n3 computed them itself (an n3-j ID, not from store). The leave
+# must evacuate each of them.
+fresh=()
+for i in $(seq 9 20); do
+	id=$(submit_grid "${URL[n3]}" wordcount "$i")
+	line=$("$WORK/sgxctl" -addr "${URL[n3]}" wait "$id")
+	case "$id" in n3-j*) grep -q "from store" <<<"$line" || fresh+=("$i") ;; esac
+done
+[ "${#fresh[@]}" -ge 1 ] || { echo "n3 computed none of the fresh specs" >&2; exit 1; }
+echo "== n3 computed ${#fresh[@]} fresh specs (wordcount threads ${fresh[*]})"
 
 # Graceful leave: drains, hands off, departs; survivors converge on a
 # 2-member view with no trace of n3.
@@ -163,12 +171,17 @@ done
 [ -n "$converged" ] || { echo "survivors never converged after the leave" >&2; exit 1; }
 echo "== n3 left gracefully; survivors converged"
 
-# Evacuation check: a seeded result must still serve from the survivors'
-# stores without recompute.
-id=$(submit_grid "${URL[n1]}" wordcount 1)
-"$WORK/sgxctl" -addr "${URL[n1]}" wait "$id" | grep -q "from store" ||
-	{ echo "seeded result recomputed after leave" >&2; exit 1; }
-echo "== departed node's results still serve from store"
+# Evacuation check: every result only n3 computed must serve from the
+# survivors' stores without recompute, and n3 must count each as pushed.
+for i in "${fresh[@]}"; do
+	id=$(submit_grid "${URL[n1]}" wordcount "$i")
+	"$WORK/sgxctl" -addr "${URL[n1]}" wait "$id" | grep -q "from store" ||
+		{ echo "n3's wordcount/$i recomputed after the leave: it was not evacuated" >&2; exit 1; }
+done
+pushed=$(curl -fsS "${URL[n3]}/metrics" | awk '/^sgxd_rereplicated_total / {print $2}')
+[ "${pushed:-0}" -ge "${#fresh[@]}" ] ||
+	{ echo "n3 sgxd_rereplicated_total = ${pushed:-0}, want >= ${#fresh[@]}" >&2; exit 1; }
+echo "== n3's ${#fresh[@]} own results serve from store through n1 (n3 evacuated ${pushed})"
 
 # The load run must have finished clean: zero 5xx (retries allowed).
 wait "$LOAD_PID" || { echo "sgxload failed:" >&2; tail -20 "$WORK/load.log" >&2; exit 1; }
